@@ -33,7 +33,10 @@ pub fn fitness_with_grams(x: &SparseTensor, k: &KruskalTensor, grams: &[Mat]) ->
     let x_sq = x.norm_sq();
     let inner = inner_with_kruskal(x, k);
     let k_sq = k.norm_sq_from_grams(grams);
-    let resid_sq = (x_sq - 2.0 * inner + k_sq).max(0.0);
+    // Clamp negative round-off, but let NaN through: `f64::max` would
+    // turn a poisoned model's NaN into a perfect-looking fit.
+    let r = x_sq - 2.0 * inner + k_sq;
+    let resid_sq = if r < 0.0 { 0.0 } else { r };
     if x_sq == 0.0 {
         return if resid_sq == 0.0 { 1.0 } else { f64::NEG_INFINITY };
     }
@@ -65,6 +68,16 @@ mod tests {
         let dense = k.reconstruct_dense();
         let x = dense.to_sparse();
         assert!((fitness(&x, &k) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nan_model_reports_nan_fitness() {
+        let mut x = SparseTensor::new(Shape::new(&[2, 2]));
+        x.add(&Coord::new(&[0, 0]), 3.0);
+        let mut k = KruskalTensor::zeros(&[2, 2], 1);
+        k.factors[0][(0, 0)] = f64::NAN;
+        // Not 1.0: a poisoned model must not read as a perfect fit.
+        assert!(fitness(&x, &k).is_nan());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! The enum has three families of variants:
 //!
 //! - **Stream-model errors** ([`SnsError::OutOfOrder`],
-//!   [`SnsError::OrderMismatch`], [`SnsError::OutOfBounds`]) — a tuple
-//!   violated the continuous tensor model's input contract
-//!   (Definition 1 of the paper).
+//!   [`SnsError::OrderMismatch`], [`SnsError::OutOfBounds`],
+//!   [`SnsError::NonFiniteValue`]) — a tuple violated the continuous
+//!   tensor model's input contract (Definition 1 of the paper).
 //! - **Batch errors** ([`SnsError::BatchAborted`]) — a batched
 //!   `prefill_all`/`ingest_all` short-circuited mid-slice; the variant
 //!   carries how far it got so callers can resume or account precisely.
@@ -52,6 +52,16 @@ pub enum SnsError {
         index: u32,
         /// Length of that mode.
         len: usize,
+    },
+    /// A tuple's value is NaN or ±∞. Rejected before it touches the
+    /// window: one such value would poison the factors for the rest of
+    /// the stream, long after the tuple itself expired.
+    NonFiniteValue {
+        /// Timestamp of the offending tuple.
+        time: u64,
+        /// Bit pattern of the offending value (`f64::to_bits`; bits keep
+        /// the error `Eq`).
+        bits: u64,
     },
     /// A batched operation stopped at its first failing tuple. Tuples
     /// before the failing one **were** applied and stay applied; `source`
@@ -234,6 +244,9 @@ impl fmt::Display for SnsError {
             SnsError::OutOfBounds { mode, index, len } => {
                 write!(f, "index {index} out of bounds for mode {mode} (length {len})")
             }
+            SnsError::NonFiniteValue { time, bits } => {
+                write!(f, "non-finite tuple value {} at time {time}", f64::from_bits(*bits))
+            }
             SnsError::BatchAborted { accepted, applied, source } => {
                 write!(
                     f,
@@ -307,6 +320,8 @@ mod tests {
         assert!(SnsError::OutOfOrder { previous: 5, got: 3 }.to_string().contains('3'));
         assert!(SnsError::OrderMismatch { expected: 2, got: 3 }.to_string().contains('2'));
         assert!(SnsError::OutOfBounds { mode: 1, index: 9, len: 4 }.to_string().contains("mode 1"));
+        let nan = SnsError::NonFiniteValue { time: 42, bits: f64::NAN.to_bits() };
+        assert!(nan.to_string().contains("NaN") && nan.to_string().contains("42"));
         let batch = SnsError::OutOfOrder { previous: 7, got: 2 }.aborted_at(11, 30);
         assert!(batch.to_string().contains("11 accepted"));
         assert!(batch.to_string().contains("after 7"));

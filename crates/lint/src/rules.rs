@@ -4,7 +4,7 @@
 //! | rule id | invariant it mechanizes |
 //! |---|---|
 //! | `determinism/hash-iter` | no hash-ordered containers in state-capture/codec paths (snapshot and wire bytes must be pure functions of history) |
-//! | `determinism/wall-clock` | no `Instant::now`/`SystemTime::now` outside the `sns-ops` clock seam (replay must not observe time) |
+//! | `determinism/wall-clock` | no `Instant::now`/`SystemTime::now`/`.elapsed()` outside the `sns-ops` clock seam (replay must not observe time) |
 //! | `robustness/no-panic-in-lib` | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test library code |
 //! | `concurrency/nested-lock` | no lock acquired while another guard is live, unless the pair is registered in the lock-order table |
 //! | `durability/sync-before-rename` | every `fs::rename` in `wal.rs`/`store.rs` is preceded by a sync in the same function (rename is the commit point) |
@@ -122,13 +122,29 @@ fn hash_iter(ctx: &FileCtx<'_>, out: &mut Vec<RawViolation>) {
 
 /// `determinism/wall-clock`: library code must route every clock read
 /// through the `sns-ops` clock seam so replay and tests can reason
-/// about the single place time enters the system.
+/// about the single place time enters the system. `Instant::elapsed`
+/// reads the clock too, so a `.elapsed()` call counts as a read; the
+/// seam's `sns_ops::clock::elapsed(start)` is a path call and does not
+/// match.
 fn wall_clock(ctx: &FileCtx<'_>, out: &mut Vec<RawViolation>) {
     if !ctx.is_lib {
         return;
     }
     let toks = ctx.tokens;
     for (i, t) in ctx.live() {
+        if t.is_punct('.')
+            && toks.get(i + 1).is_some_and(|t| t.is_ident("elapsed"))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
+            && toks.get(i + 3).is_some_and(|t| t.is_punct(')'))
+        {
+            out.push(RawViolation {
+                rule: WALL_CLOCK,
+                line: t.line,
+                message: "`.elapsed()` in library code reads the wall clock outside the \
+                          `sns_ops::clock` seam — call `sns_ops::clock::elapsed(start)` instead"
+                    .to_string(),
+            });
+        }
         let clock_type = t.is_ident("Instant") || t.is_ident("SystemTime");
         if clock_type
             && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))

@@ -1,4 +1,4 @@
-//! Fixture: direct clock reads in library code. Both should trip.
+//! Fixture: direct clock reads in library code. All three should trip.
 
 use std::time::{Instant, SystemTime};
 
@@ -8,4 +8,8 @@ pub fn stamp() -> Instant {
 
 pub fn wall() -> SystemTime {
     SystemTime::now()
+}
+
+pub fn since(start: Instant) -> std::time::Duration {
+    start.elapsed()
 }

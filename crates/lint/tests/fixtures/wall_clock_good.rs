@@ -5,6 +5,10 @@ pub fn through_the_seam() -> std::time::Instant {
     sns_ops::clock::now()
 }
 
+pub fn since(start: std::time::Instant) -> std::time::Duration {
+    sns_ops::clock::elapsed(start)
+}
+
 pub fn documented() -> &'static str {
     "call sns_ops::clock::now() instead of Instant::now()"
 }

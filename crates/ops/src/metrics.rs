@@ -141,6 +141,11 @@ pub struct ShardMetrics {
     /// consecutive same-stream ingest commands driven through a single
     /// engine call; `commands / ingest_groups` is the coalescing factor).
     pub ingest_groups: AtomicU64,
+    /// Rollback bases captured (full engine-state copies taken so a
+    /// panicking batch can be rolled back). Amortized: a stream captures
+    /// once per window's worth of logged replay work, not once per
+    /// group, so this stays far below `ingest_groups`.
+    pub rollback_captures: AtomicU64,
     /// Engine panics caught on this shard.
     pub panics: AtomicU64,
     /// Checkpoints committed that covered this shard (pool-wide sweeps
@@ -155,6 +160,7 @@ impl ShardMetrics {
             queue_capacity,
             commands: AtomicU64::new(0),
             ingest_groups: AtomicU64::new(0),
+            rollback_captures: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
         }
@@ -256,12 +262,13 @@ impl MetricsRegistry {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"shard\":{},\"queue_depth\":{},\"queue_capacity\":{},\"commands\":{},\"ingest_groups\":{},\"panics\":{},\"checkpoints\":{}}}",
+                "{{\"shard\":{},\"queue_depth\":{},\"queue_capacity\":{},\"commands\":{},\"ingest_groups\":{},\"rollback_captures\":{},\"panics\":{},\"checkpoints\":{}}}",
                 i,
                 s.depth(),
                 s.queue_capacity,
                 s.commands.load(Ordering::Relaxed),
                 s.ingest_groups.load(Ordering::Relaxed),
+                s.rollback_captures.load(Ordering::Relaxed),
                 s.panics.load(Ordering::Relaxed),
                 s.checkpoints.load(Ordering::Relaxed),
             ));
@@ -316,11 +323,12 @@ impl MetricsRegistry {
         for (i, s) in self.inner.shards.iter().enumerate() {
             let s = &s.0;
             out.push_str(&format!(
-                "shard {i}: queue {}/{} commands={} ingest_groups={} panics={} checkpoints={}\n",
+                "shard {i}: queue {}/{} commands={} ingest_groups={} rollback_captures={} panics={} checkpoints={}\n",
                 s.depth(),
                 s.queue_capacity,
                 s.commands.load(Ordering::Relaxed),
                 s.ingest_groups.load(Ordering::Relaxed),
+                s.rollback_captures.load(Ordering::Relaxed),
                 s.panics.load(Ordering::Relaxed),
                 s.checkpoints.load(Ordering::Relaxed),
             ));
@@ -387,6 +395,9 @@ mod tests {
         let i9 = json.find("\"stream_id\":9").unwrap();
         assert!(i3 < i9);
         assert!(json.contains("\"commands\":5"));
+        reg.shard(0).rollback_captures.fetch_add(3, Ordering::Relaxed);
+        assert!(reg.dump().contains("\"rollback_captures\":3"));
+        assert!(reg.render_text().contains("rollback_captures=3"));
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(!json.contains("\"events\""));
         let text = reg.render_text();

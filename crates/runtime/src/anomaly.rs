@@ -192,8 +192,8 @@ impl AnomalyCpd {
     /// state, returning the event (`None` when the tuple does not fit
     /// the window and will be rejected by the engine anyway).
     fn score_arrival(&mut self, tuple: &StreamTuple) -> Option<ScoredEvent> {
-        if self.last_time.is_some_and(|prev| tuple.time < prev) {
-            return None; // out of order — the engine rejects it unscored
+        if self.last_time.is_some_and(|prev| tuple.time < prev) || !tuple.value.is_finite() {
+            return None; // out of order or non-finite — the engine rejects it unscored
         }
         let shape = self.inner.window().shape();
         let time_mode = shape.order() - 1;

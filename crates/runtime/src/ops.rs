@@ -25,20 +25,22 @@ pub type PoolDeadLetter = DeadLetter<EngineSpec>;
 /// What happens to a stream whose batch panics its engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuarantinePolicy {
-    /// Roll the engine back to its pre-batch captured state, record the
-    /// batch to the dead-letter queue, and keep serving: later batches
-    /// divert to the DLQ (in order) until
+    /// Roll the engine back to its pre-batch state, record the batch to
+    /// the dead-letter queue, and keep serving: later batches divert to
+    /// the DLQ (in order) until
     /// [`StreamSession::replay_quarantined`](crate::pool::StreamSession::replay_quarantined)
-    /// re-drives them. Costs one state capture per batch on streams of
-    /// capture-supporting engines; engines without capture fall back to
-    /// [`QuarantinePolicy::Disabled`] behaviour (the letter is still
-    /// recorded).
+    /// re-drives them. The pre-batch state is rebuilt from a captured
+    /// rollback base plus a deterministic replay of the batches applied
+    /// since; a stream re-captures its base once per window's worth of
+    /// replay work (its non-zero count), not per batch. Engines without
+    /// capture fall back to [`QuarantinePolicy::Disabled`] behaviour
+    /// (the letter is still recorded).
     #[default]
     Rollback,
     /// Pre-PR-7 behaviour: the engine is dropped and the stream keeps
     /// reporting [`SnsError::EnginePanicked`](sns_error::SnsError)
-    /// forever. No per-batch capture cost; the panicking batch is still
-    /// recorded to the DLQ for post-mortems.
+    /// forever. No capture cost and no replay log; the panicking batch
+    /// is still recorded to the DLQ for post-mortems.
     Disabled,
 }
 

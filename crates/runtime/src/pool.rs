@@ -52,7 +52,7 @@
 use crate::anomaly::AnomalySummary;
 use crate::journal::{BatchJournal, JournalEntry, JournalOp};
 use crate::ops::{PoolDeadLetter, PoolOps, QuarantinePolicy};
-use crate::snapshot::EngineSnapshot;
+use crate::snapshot::{EngineSnapshot, EngineState};
 use crate::spec::EngineSpec;
 use crate::streaming::{BatchOutcome, StreamingCpd};
 use sns_core::als::AlsOptions;
@@ -339,8 +339,8 @@ struct StreamSlot {
     token: u64,
     spec: EngineSpec,
     seed: u64,
-    /// `None` only when a panic could not be rolled back (no pre-batch
-    /// capture — [`QuarantinePolicy::Disabled`] or an engine without
+    /// `None` only when a panic could not be rolled back (no rollback
+    /// base — [`QuarantinePolicy::Disabled`] or an engine without
     /// snapshot support); the slot then keeps reporting the error.
     engine: Option<Box<dyn StreamingCpd>>,
     error: Option<SnsError>,
@@ -355,6 +355,9 @@ struct StreamSlot {
     /// journal, so journal-less pools snapshot `wal_seq == 0`
     /// everywhere.
     wal_seq: u64,
+    /// Panic-rollback base and replay log; stays empty under
+    /// [`QuarantinePolicy::Disabled`].
+    rollback: RollbackLog,
     metrics: Arc<StreamMetrics>,
     replies: Sender<SessionReply>,
 }
@@ -401,6 +404,23 @@ impl StreamSlot {
         let _ = self.replies.send(SessionReply { ticket, body: ReplyBody::Receipt(receipt) });
     }
 
+    /// Captures the stream's engine for a snapshot or checkpoint.
+    /// Deliberately not `guard`ed: a capture failure (e.g. an engine
+    /// without capture support) must not be recorded as a stream error.
+    fn capture(&self, id: u64) -> Result<EngineSnapshot, SnsError> {
+        match (&self.engine, &self.error) {
+            (Some(engine), _) => engine.snapshot().map(|state| EngineSnapshot {
+                stream_id: id,
+                spec: self.spec.clone(),
+                seed: self.seed,
+                wal_seq: self.wal_seq,
+                state,
+            }),
+            (None, Some(err)) => Err(err.clone()),
+            (None, None) => Err(SnsError::StreamClosed { stream_id: id }),
+        }
+    }
+
     fn report(&mut self, id: u64) -> StreamReport {
         let metrics = self
             .guard(id, |e| {
@@ -428,363 +448,409 @@ impl StreamSlot {
     }
 }
 
-/// Records a batch to the dead-letter queue and publishes the
-/// quarantine event.
-#[allow(clippy::too_many_arguments)]
-fn divert_to_dlq(
-    ops: &PoolOps,
-    s: &StreamSlot,
-    shard: usize,
-    id: u64,
-    ticket: u64,
-    op: QuarantinedOp,
-    tuples: Vec<StreamTuple>,
-    error: SnsError,
-) {
-    let count = tuples.len();
-    ops.dlq().quarantine(id, shard, ticket, op, tuples, error, s.spec.clone());
-    s.metrics.quarantined.fetch_add(1, Ordering::Relaxed);
-    if ops.bus().has_subscribers() {
-        ops.bus().publish(PoolEvent::TupleQuarantined {
-            stream_id: id,
-            shard,
-            ticket,
-            tuples: count,
-        });
-    }
-}
+/// One tuple batch's outcome inside a group, with the engine's
+/// flagged-anomaly counter read right after it.
+type SegmentOutcome = (Result<BatchOutcome, SnsError>, Option<u64>);
 
-/// Applies one tuple batch (prefill or ingest) with quarantine
-/// semantics: under [`QuarantinePolicy::Rollback`] a panicking batch is
-/// rolled back to its pre-batch captured state and quarantined, and
-/// later batches divert to the DLQ in order until the session releases
-/// the stream. Typed engine errors pass through unchanged.
-#[allow(clippy::too_many_arguments)]
-fn apply_batch(
-    ops: &PoolOps,
-    policy: QuarantinePolicy,
-    journal: Option<&Arc<dyn BatchJournal>>,
-    buffers: &BufferPool,
-    shard: usize,
-    s: &mut StreamSlot,
-    id: u64,
-    ticket: u64,
+/// Drives one tuple segment through the engine — the live apply path
+/// and rollback replay share it.
+fn run_segment(
+    engine: &mut dyn StreamingCpd,
     op: QuarantinedOp,
-    tuples: Vec<StreamTuple>,
-) {
-    if s.quarantined {
-        let err = SnsError::StreamQuarantined { stream_id: id, pending: ops.dlq().pending(id) + 1 };
-        divert_to_dlq(ops, s, shard, id, ticket, op, tuples, err.clone());
-        s.acknowledge(id, ticket, Err(err));
-        return;
-    }
-    let Some(engine) = s.engine.as_mut() else {
-        let err = s.error.clone().unwrap_or(SnsError::StreamClosed { stream_id: id });
-        buffers.put(tuples);
-        s.acknowledge(id, ticket, Err(err));
-        return;
-    };
-    let pre = match policy {
-        QuarantinePolicy::Rollback => engine.snapshot().ok(),
-        QuarantinePolicy::Disabled => None,
-    };
-    let applied = catch_unwind(AssertUnwindSafe(|| match op {
+    tuples: &[StreamTuple],
+) -> Result<BatchOutcome, SnsError> {
+    match op {
         QuarantinedOp::Prefill => {
-            engine.prefill_all(&tuples).map(|n| BatchOutcome { accepted: n, updates: 0 })
+            engine.prefill_all(tuples).map(|n| BatchOutcome { accepted: n, updates: 0 })
         }
-        QuarantinedOp::Ingest => engine.ingest_all(&tuples),
-    }));
-    match applied {
-        Ok(Ok(outcome)) => {
-            let flagged = engine.anomalies().map(|a| a.flagged);
-            s.metrics.batches.fetch_add(1, Ordering::Relaxed);
-            s.metrics.tuples.fetch_add(outcome.accepted as u64, Ordering::Relaxed);
-            s.metrics.updates.fetch_add(outcome.updates, Ordering::Relaxed);
-            if let Some(flagged) = flagged.filter(|&f| f > s.last_flagged) {
-                s.last_flagged = flagged;
-                if ops.bus().has_subscribers() {
-                    ops.bus().publish(PoolEvent::AnomalyFlagged { stream_id: id, shard, flagged });
-                }
-            }
-            s.acknowledge(id, ticket, Ok(outcome));
-            let jop = match op {
-                QuarantinedOp::Prefill => JournalOp::Prefill(&tuples),
-                QuarantinedOp::Ingest => JournalOp::Ingest(&tuples),
-            };
-            journal_op(ops, journal, s, shard, id, ticket, jop);
-            buffers.put(tuples);
-        }
-        Ok(Err(e)) => {
-            s.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            s.error.get_or_insert(e.clone());
-            s.acknowledge(id, ticket, Err(e));
-            // The engine applied the batch's accepted prefix, so the
-            // batch is journaled in full: deterministic replay of the
-            // same tuples reproduces exactly that prefix (and error).
-            let jop = match op {
-                QuarantinedOp::Prefill => JournalOp::Prefill(&tuples),
-                QuarantinedOp::Ingest => JournalOp::Ingest(&tuples),
-            };
-            journal_op(ops, journal, s, shard, id, ticket, jop);
-            buffers.put(tuples);
-        }
-        Err(payload) => {
-            ops.metrics().shard(shard).panics.fetch_add(1, Ordering::Relaxed);
-            s.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            let e = SnsError::EnginePanicked { stream_id: id, message: panic_message(payload) };
-            s.error.get_or_insert(e.clone());
-            match pre.and_then(|state| state.into_engine().ok()) {
-                Some(rolled_back) => {
-                    // The batch never happened as far as the model is
-                    // concerned; the stream keeps serving.
-                    s.engine = Some(rolled_back);
-                    s.quarantined = true;
-                }
-                // No pre-batch capture: the engine state is no longer
-                // trustworthy and the slot goes dark (the letter is
-                // still recorded for post-mortems).
-                None => s.engine = None,
-            }
-            divert_to_dlq(ops, s, shard, id, ticket, op, tuples, e.clone());
-            s.acknowledge(id, ticket, Err(e));
-        }
+        QuarantinedOp::Ingest => engine.ingest_all(tuples),
     }
 }
 
-/// Applies a coalesced run of ingest batches ("segments") for one
-/// stream in a single engine acquisition.
+/// Amortized panic rollback for one stream: a captured **base** state
+/// plus a **replay log** of every tuple segment applied since.
 ///
-/// Observable behavior is identical to driving each segment through
-/// [`apply_batch`] in submission order: every segment still runs the
-/// engine's own per-tuple `ingest_all` path, so update order — and the
-/// RNG draw order the `_RND` families depend on — is untouched and the
-/// results stay **bitwise** equal to per-batch (and to serial)
-/// execution. What the grouping amortizes is the per-batch overhead:
-/// one rollback snapshot, one anomaly probe per segment instead of a
-/// snapshot per segment, one stream-metrics flush, and one slot lookup
-/// per group.
+/// The first prefill/ingest group after the base was cleared captures
+/// it; every segment applied afterwards is appended to the log (tuples
+/// copied into one reused buffer, so the log never holds pooled batch
+/// buffers and allocates nothing at steady state). Engines are
+/// deterministic, so the base plus a replay of the log rebuilds the live
+/// engine bitwise — which is what a panic restores.
 ///
-/// Panic recovery preserves the serial contract exactly: a panic at
-/// segment `k` rolls the engine back to the group's pre-state and
-/// deterministically re-applies the `k` completed segments (engines
-/// are deterministic, so this reconstructs bitwise the state serial
-/// per-batch execution would have left), then quarantines the stream,
-/// diverts the panicking segment to the DLQ, and diverts/fails the
-/// remainder with the same per-segment errors serial execution
-/// produces.
-#[allow(clippy::too_many_arguments)]
-fn apply_ingest_group(
-    ops: &PoolOps,
-    policy: QuarantinePolicy,
-    journal: Option<&Arc<dyn BatchJournal>>,
-    buffers: &BufferPool,
-    shard: usize,
-    s: &mut StreamSlot,
-    id: u64,
-    group: &mut Vec<(u64, Vec<StreamTuple>)>,
-) {
-    if s.quarantined {
-        for (ticket, tuples) in group.drain(..) {
-            let err =
-                SnsError::StreamQuarantined { stream_id: id, pending: ops.dlq().pending(id) + 1 };
-            divert_to_dlq(ops, s, shard, id, ticket, QuarantinedOp::Ingest, tuples, err.clone());
-            s.acknowledge(id, ticket, Err(err));
-        }
-        return;
+/// **Rebase rule.** Once the logged replay work — tuples for prefill
+/// segments, `accepted + updates` for ingest segments — reaches the
+/// window's non-zero count, base and log are cleared and the next group
+/// captures afresh. A capture thus copies each non-zero about once per
+/// that much replay work, and a panic replays at most about one window's
+/// worth of work. Every other engine mutation (warm start, clock
+/// advance, a rollback) clears the base; open and restore start without
+/// one, and a pool-wide checkpoint releases it so the checkpoint's
+/// all-streams capture is not doubled in memory.
+#[derive(Default)]
+struct RollbackLog {
+    base: Option<EngineState>,
+    /// Tuples of the logged segments, back to back.
+    tuples: Vec<StreamTuple>,
+    /// Per logged segment, in apply order: its kind and the end offset
+    /// of its tuples in `tuples`.
+    segments: Vec<(QuarantinedOp, usize)>,
+    /// Replay work logged since the base was captured.
+    work: u64,
+}
+
+impl RollbackLog {
+    fn clear(&mut self) {
+        self.base = None;
+        self.tuples.clear();
+        self.segments.clear();
+        self.work = 0;
     }
-    let Some(engine) = s.engine.as_mut() else {
-        let err = s.error.clone().unwrap_or(SnsError::StreamClosed { stream_id: id });
-        for (ticket, tuples) in group.drain(..) {
-            buffers.put(tuples);
-            s.acknowledge(id, ticket, Err(err.clone()));
+
+    /// Appends segments to the log. A no-op without a base
+    /// ([`QuarantinePolicy::Disabled`] or no capture support).
+    fn push(&mut self, op: QuarantinedOp, segments: &[(u64, Vec<StreamTuple>)]) {
+        if self.base.is_none() {
+            return;
         }
-        return;
-    };
-    let pre = match policy {
-        QuarantinePolicy::Rollback => engine.snapshot().ok(),
-        QuarantinePolicy::Disabled => None,
-    };
-    // Drive every segment inside one panic guard, collecting each
-    // outcome plus the post-segment anomaly counter (read per segment
-    // so edge-triggered AnomalyFlagged events match serial execution).
-    let mut outcomes: Vec<(Result<BatchOutcome, SnsError>, Option<u64>)> =
-        Vec::with_capacity(group.len());
-    let panic_payload = {
-        let outcomes = &mut outcomes;
-        catch_unwind(AssertUnwindSafe(|| {
-            for (_, tuples) in group.iter() {
-                let r = engine.ingest_all(tuples);
-                let flagged = engine.anomalies().map(|a| a.flagged);
-                outcomes.push((r, flagged));
-            }
-        }))
-        .err()
-    };
-    let completed = outcomes.len();
-    let panic_err = panic_payload.map(|payload| {
-        ops.metrics().shard(shard).panics.fetch_add(1, Ordering::Relaxed);
-        let e = SnsError::EnginePanicked { stream_id: id, message: panic_message(payload) };
-        // Roll back to the group's pre-state and re-apply the completed
-        // prefix before its buffers are journaled and recycled below.
-        match pre.and_then(|state| state.into_engine().ok()) {
-            Some(mut rolled_back) => {
-                let replay = catch_unwind(AssertUnwindSafe(|| {
-                    for (_, tuples) in &group[..completed] {
-                        // Outcomes (including typed errors and their
-                        // accepted prefixes) are deterministic; results
-                        // were captured above and are re-produced, not
-                        // re-reported.
-                        let _ = rolled_back.ingest_all(tuples);
-                    }
-                }));
-                match replay {
-                    Ok(()) => {
-                        s.engine = Some(rolled_back);
-                        s.quarantined = true;
-                    }
-                    // A replay of batches that just succeeded cannot
-                    // panic on a deterministic engine; if it somehow
-                    // does, the state is untrustworthy — go dark.
-                    Err(_) => s.engine = None,
+        for (_, tuples) in segments {
+            self.tuples.extend_from_slice(tuples);
+            self.segments.push((op, self.tuples.len()));
+        }
+    }
+
+    /// Logs a group that completed without a panic, applying the rebase
+    /// rule: when the group brings the logged replay work to the live
+    /// window's non-zero count `nnz`, base and log are cleared instead
+    /// (so the log never holds more than about a window's worth).
+    fn commit(
+        &mut self,
+        op: QuarantinedOp,
+        group: &[(u64, Vec<StreamTuple>)],
+        outcomes: &[SegmentOutcome],
+        nnz: usize,
+    ) {
+        if self.base.is_none() {
+            return;
+        }
+        self.work += outcomes
+            .iter()
+            .zip(group)
+            .map(|((outcome, _), (_, tuples))| match outcome {
+                Ok(o) => o.accepted as u64 + o.updates,
+                Err(_) => tuples.len() as u64,
+            })
+            .sum::<u64>();
+        if self.work >= nnz as u64 {
+            self.clear();
+        } else {
+            self.push(op, group);
+        }
+    }
+
+    /// Rebuilds the engine from the base and a replay of the log, then
+    /// clears both. `None` when there is no base or the rebuild fails
+    /// (a replay of segments that already succeeded cannot panic on a
+    /// deterministic engine; if one somehow does, the state is
+    /// untrustworthy).
+    fn restore(&mut self) -> Option<Box<dyn StreamingCpd>> {
+        let engine = self.base.take().and_then(|base| base.into_engine().ok());
+        let restored = engine.and_then(|mut engine| {
+            let replay = catch_unwind(AssertUnwindSafe(|| {
+                let mut start = 0;
+                for &(op, end) in &self.segments {
+                    // Outcomes (typed errors and their accepted prefixes
+                    // included) are deterministic: re-produced, not
+                    // re-reported.
+                    let _ = run_segment(engine.as_mut(), op, &self.tuples[start..end]);
+                    start = end;
                 }
-            }
-            // No pre-group capture: the engine state is no longer
-            // trustworthy and the slot goes dark.
-            None => s.engine = None,
-        }
-        e
-    });
-    // Per-segment post-processing, in ticket order — acks, journal
-    // entries, and first-error recording exactly as per-batch execution
-    // produces them; the counter deltas are flushed once at the end.
-    let mut batches = 0u64;
-    let mut tuples_total = 0u64;
-    let mut updates = 0u64;
-    let mut errors = 0u64;
-    let mut segments = group.drain(..);
-    for ((outcome, flagged), (ticket, tuples)) in outcomes.into_iter().zip(&mut segments) {
-        match outcome {
-            Ok(outcome) => {
-                batches += 1;
-                tuples_total += outcome.accepted as u64;
-                updates += outcome.updates;
-                if let Some(flagged) = flagged.filter(|&f| f > s.last_flagged) {
-                    s.last_flagged = flagged;
-                    if ops.bus().has_subscribers() {
-                        ops.bus().publish(PoolEvent::AnomalyFlagged {
-                            stream_id: id,
-                            shard,
-                            flagged,
-                        });
-                    }
-                }
-                s.acknowledge(id, ticket, Ok(outcome));
-                journal_op(ops, journal, s, shard, id, ticket, JournalOp::Ingest(&tuples));
-                buffers.put(tuples);
-            }
-            Err(e) => {
-                errors += 1;
-                s.error.get_or_insert(e.clone());
-                s.acknowledge(id, ticket, Err(e));
-                // Journaled in full: the accepted prefix is what a
-                // deterministic replay of the same tuples reproduces.
-                journal_op(ops, journal, s, shard, id, ticket, JournalOp::Ingest(&tuples));
-                buffers.put(tuples);
-            }
-        }
-    }
-    if let (Some(e), Some((ticket, tuples))) = (panic_err, segments.next()) {
-        errors += 1;
-        s.error.get_or_insert(e.clone());
-        divert_to_dlq(ops, s, shard, id, ticket, QuarantinedOp::Ingest, tuples, e.clone());
-        s.acknowledge(id, ticket, Err(e));
-        for (ticket, tuples) in segments {
-            if s.quarantined {
-                let err = SnsError::StreamQuarantined {
-                    stream_id: id,
-                    pending: ops.dlq().pending(id) + 1,
-                };
-                divert_to_dlq(
-                    ops,
-                    s,
-                    shard,
-                    id,
-                    ticket,
-                    QuarantinedOp::Ingest,
-                    tuples,
-                    err.clone(),
-                );
-                s.acknowledge(id, ticket, Err(err));
-            } else {
-                // The slot went dark (no rollback capture): no divert,
-                // the recorded error is the acknowledgment — exactly
-                // the per-batch darkened-slot path.
-                let err = s.error.clone().unwrap_or(SnsError::StreamClosed { stream_id: id });
-                buffers.put(tuples);
-                s.acknowledge(id, ticket, Err(err));
-            }
-        }
-    }
-    if batches > 0 {
-        s.metrics.batches.fetch_add(batches, Ordering::Relaxed);
-        s.metrics.tuples.fetch_add(tuples_total, Ordering::Relaxed);
-        s.metrics.updates.fetch_add(updates, Ordering::Relaxed);
-    }
-    if errors > 0 {
-        s.metrics.errors.fetch_add(errors, Ordering::Relaxed);
+            }));
+            replay.ok().map(|()| engine)
+        });
+        self.clear();
+        restored
     }
 }
 
-/// Journals an operation that reached the engine (called **after** the
-/// ack, on the worker) and publishes the matching
-/// [`PoolEvent::BatchApplied`] event. A no-op on journal-less pools and
-/// for empty batches (they change no state and carry no sequence).
-fn journal_op(
-    ops: &PoolOps,
-    journal: Option<&Arc<dyn BatchJournal>>,
-    s: &mut StreamSlot,
+/// What a shard worker shares across its slots: its index, the pool's
+/// ops surface, the quarantine policy, the WAL sink, and the shard's
+/// batch-buffer freelist.
+struct ShardCtx {
     shard: usize,
-    id: u64,
-    ticket: u64,
-    op: JournalOp<'_>,
-) {
-    let Some(journal) = journal else { return };
-    let units = op.units();
-    if units == 0 {
-        return;
-    }
-    s.wal_seq += units;
-    journal.record(JournalEntry { stream_id: id, seq: s.wal_seq, ticket, op });
-    if ops.bus().has_subscribers() {
-        ops.bus().publish(PoolEvent::BatchApplied { stream_id: id, shard, units, seq: s.wal_seq });
-    }
-}
-
-fn publish_evicted(ops: &PoolOps, id: u64, shard: usize, reason: EvictReason) {
-    if ops.bus().has_subscribers() {
-        ops.bus().publish(PoolEvent::StreamEvicted { stream_id: id, shard, reason });
-    }
-}
-
-fn worker_loop(
-    shard: usize,
-    rx: Receiver<Command>,
     ops: PoolOps,
     policy: QuarantinePolicy,
     journal: Option<Arc<dyn BatchJournal>>,
     buffers: BufferPool,
-) {
+}
+
+impl ShardCtx {
+    /// Records a batch to the dead-letter queue and publishes the
+    /// quarantine event.
+    fn divert_to_dlq(
+        &self,
+        s: &StreamSlot,
+        id: u64,
+        ticket: u64,
+        op: QuarantinedOp,
+        tuples: Vec<StreamTuple>,
+        error: SnsError,
+    ) {
+        let count = tuples.len();
+        self.ops.dlq().quarantine(id, self.shard, ticket, op, tuples, error, s.spec.clone());
+        s.metrics.quarantined.fetch_add(1, Ordering::Relaxed);
+        if self.ops.bus().has_subscribers() {
+            self.ops.bus().publish(PoolEvent::TupleQuarantined {
+                stream_id: id,
+                shard: self.shard,
+                ticket,
+                tuples: count,
+            });
+        }
+    }
+
+    /// Diverts a batch of a quarantined stream to the DLQ, in order, and
+    /// fails its receipt.
+    fn divert_quarantined(
+        &self,
+        s: &StreamSlot,
+        id: u64,
+        ticket: u64,
+        op: QuarantinedOp,
+        tuples: Vec<StreamTuple>,
+    ) {
+        let err =
+            SnsError::StreamQuarantined { stream_id: id, pending: self.ops.dlq().pending(id) + 1 };
+        self.divert_to_dlq(s, id, ticket, op, tuples, err.clone());
+        s.acknowledge(id, ticket, Err(err));
+    }
+
+    /// Applies a group of tuple segments for one stream — a single
+    /// prefill batch, or a coalesced run of ingest batches — in one
+    /// engine acquisition, with quarantine semantics.
+    ///
+    /// Observable behavior is identical to applying each segment on its
+    /// own in submission order: every segment still runs the engine's
+    /// own per-tuple `prefill_all`/`ingest_all` path, so update order —
+    /// and the RNG draw order the `_RND` families depend on — is
+    /// untouched and the results stay **bitwise** equal to per-batch
+    /// (and to serial) execution. What grouping amortizes is the
+    /// per-batch overhead: one slot lookup and one stream-metrics flush
+    /// per group; the anomaly probe still runs per segment, so
+    /// edge-triggered events match serial execution.
+    ///
+    /// A panic at segment `k` under [`QuarantinePolicy::Rollback`]
+    /// rebuilds the engine from the stream's [`RollbackLog`] — base,
+    /// logged segments, then the group's `k` completed segments — which
+    /// is bitwise the state serial per-batch execution would have left;
+    /// it then quarantines the stream, diverts the panicking segment to
+    /// the DLQ, and diverts/fails the remainder with the same
+    /// per-segment errors serial execution produces. Without a base the
+    /// slot goes dark.
+    fn apply_group(
+        &self,
+        s: &mut StreamSlot,
+        id: u64,
+        op: QuarantinedOp,
+        group: &mut Vec<(u64, Vec<StreamTuple>)>,
+    ) {
+        if s.quarantined {
+            for (ticket, tuples) in group.drain(..) {
+                self.divert_quarantined(s, id, ticket, op, tuples);
+            }
+            return;
+        }
+        let Some(engine) = s.engine.as_mut() else {
+            let err = s.error.clone().unwrap_or(SnsError::StreamClosed { stream_id: id });
+            for (ticket, tuples) in group.drain(..) {
+                self.buffers.put(tuples);
+                s.acknowledge(id, ticket, Err(err.clone()));
+            }
+            return;
+        };
+        if self.policy == QuarantinePolicy::Rollback && s.rollback.base.is_none() {
+            s.rollback.base = engine.snapshot().ok();
+            if s.rollback.base.is_some() {
+                let captures = &self.ops.metrics().shard(self.shard).rollback_captures;
+                captures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        // Drive every segment inside one panic guard, collecting each
+        // outcome plus the post-segment anomaly counter.
+        let mut outcomes: Vec<SegmentOutcome> = Vec::with_capacity(group.len());
+        let panic_payload = {
+            let outcomes = &mut outcomes;
+            catch_unwind(AssertUnwindSafe(|| {
+                for (_, tuples) in group.iter() {
+                    let r = run_segment(engine.as_mut(), op, tuples);
+                    outcomes.push((r, engine.anomalies().map(|a| a.flagged)));
+                }
+            }))
+            .err()
+        };
+        // Log the completed segments before their buffers are journaled
+        // and recycled below.
+        let panic_err = match panic_payload {
+            None => {
+                s.rollback.commit(op, group, &outcomes, engine.window().nnz());
+                None
+            }
+            Some(payload) => {
+                self.ops.metrics().shard(self.shard).panics.fetch_add(1, Ordering::Relaxed);
+                s.rollback.push(op, &group[..outcomes.len()]);
+                s.engine = s.rollback.restore();
+                s.quarantined = s.engine.is_some();
+                Some(SnsError::EnginePanicked { stream_id: id, message: panic_message(payload) })
+            }
+        };
+        // Per-segment post-processing, in ticket order — acks, journal
+        // entries, and first-error recording exactly as per-batch
+        // execution produces them; the counter deltas are flushed once
+        // at the end.
+        let mut batches = 0u64;
+        let mut tuples_total = 0u64;
+        let mut updates = 0u64;
+        let mut errors = 0u64;
+        let mut segments = group.drain(..);
+        for ((outcome, flagged), (ticket, tuples)) in outcomes.into_iter().zip(&mut segments) {
+            match outcome {
+                Ok(outcome) => {
+                    batches += 1;
+                    tuples_total += outcome.accepted as u64;
+                    updates += outcome.updates;
+                    if let Some(flagged) = flagged.filter(|&f| f > s.last_flagged) {
+                        s.last_flagged = flagged;
+                        if self.ops.bus().has_subscribers() {
+                            self.ops.bus().publish(PoolEvent::AnomalyFlagged {
+                                stream_id: id,
+                                shard: self.shard,
+                                flagged,
+                            });
+                        }
+                    }
+                    s.acknowledge(id, ticket, Ok(outcome));
+                }
+                Err(e) => {
+                    errors += 1;
+                    s.error.get_or_insert(e.clone());
+                    s.acknowledge(id, ticket, Err(e));
+                }
+            }
+            // Journaled in full even after a typed error: the engine
+            // applied the accepted prefix, which is exactly what a
+            // deterministic replay of the same tuples reproduces.
+            let jop = match op {
+                QuarantinedOp::Prefill => JournalOp::Prefill(&tuples),
+                QuarantinedOp::Ingest => JournalOp::Ingest(&tuples),
+            };
+            self.journal_op(s, id, ticket, jop);
+            self.buffers.put(tuples);
+        }
+        if let (Some(e), Some((ticket, tuples))) = (panic_err, segments.next()) {
+            errors += 1;
+            s.error.get_or_insert(e.clone());
+            self.divert_to_dlq(s, id, ticket, op, tuples, e.clone());
+            s.acknowledge(id, ticket, Err(e));
+            for (ticket, tuples) in segments {
+                if s.quarantined {
+                    self.divert_quarantined(s, id, ticket, op, tuples);
+                } else {
+                    // The slot went dark (no rollback base): no divert,
+                    // the recorded error is the acknowledgment.
+                    let err = s.error.clone().unwrap_or(SnsError::StreamClosed { stream_id: id });
+                    self.buffers.put(tuples);
+                    s.acknowledge(id, ticket, Err(err));
+                }
+            }
+        }
+        if batches > 0 {
+            s.metrics.batches.fetch_add(batches, Ordering::Relaxed);
+            s.metrics.tuples.fetch_add(tuples_total, Ordering::Relaxed);
+            s.metrics.updates.fetch_add(updates, Ordering::Relaxed);
+        }
+        if errors > 0 {
+            s.metrics.errors.fetch_add(errors, Ordering::Relaxed);
+        }
+    }
+
+    /// Applies a non-tuple engine mutation (warm start, clock advance)
+    /// with the shared command bookkeeping: quarantined streams reject
+    /// it, failures are counted, and only applied commands are
+    /// journaled. Either way the rollback base is cleared — the
+    /// mutation is not in its replay log.
+    fn apply_control(
+        &self,
+        s: &mut StreamSlot,
+        id: u64,
+        ticket: u64,
+        jop: JournalOp<'_>,
+        f: impl FnOnce(&mut dyn StreamingCpd) -> BatchOutcome,
+    ) {
+        s.rollback.clear();
+        let outcome = if s.quarantined {
+            // Warm-starting or advancing a rolled-back model would bake
+            // the missing quarantined batches' absence into the factors
+            // and the clock; replay first.
+            Err(SnsError::StreamQuarantined { stream_id: id, pending: self.ops.dlq().pending(id) })
+        } else {
+            s.guard(id, |e| Ok(f(e)))
+        };
+        if outcome.is_err() {
+            s.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        let applied = outcome.is_ok();
+        s.acknowledge(id, ticket, outcome);
+        if applied {
+            self.journal_op(s, id, ticket, jop);
+        }
+    }
+
+    /// Journals an operation that reached the engine (called **after**
+    /// the ack, on the worker) and publishes the matching
+    /// [`PoolEvent::BatchApplied`] event. A no-op on journal-less pools
+    /// and for empty batches (they change no state and carry no
+    /// sequence).
+    fn journal_op(&self, s: &mut StreamSlot, id: u64, ticket: u64, op: JournalOp<'_>) {
+        let Some(journal) = &self.journal else { return };
+        let units = op.units();
+        if units == 0 {
+            return;
+        }
+        s.wal_seq += units;
+        journal.record(JournalEntry { stream_id: id, seq: s.wal_seq, ticket, op });
+        if self.ops.bus().has_subscribers() {
+            self.ops.bus().publish(PoolEvent::BatchApplied {
+                stream_id: id,
+                shard: self.shard,
+                units,
+                seq: s.wal_seq,
+            });
+        }
+    }
+
+    fn publish_evicted(&self, id: u64, reason: EvictReason) {
+        if self.ops.bus().has_subscribers() {
+            self.ops.bus().publish(PoolEvent::StreamEvicted {
+                stream_id: id,
+                shard: self.shard,
+                reason,
+            });
+        }
+    }
+}
+
+fn worker_loop(ctx: ShardCtx, rx: Receiver<Command>) {
+    let ShardCtx { shard, ref ops, ref buffers, .. } = ctx;
     let mut slots: HashMap<u64, StreamSlot> = HashMap::new();
-    // Commands from a replaced session (stale token) are dropped: the
-    // stale session's reply channel is already disconnected, so its
-    // blocked calls observe `StreamClosed` rather than hanging.
+    // Commands from a replaced (stale) session are dropped: the stale
+    // session's reply channel is already disconnected, so its blocked
+    // calls observe `StreamClosed` rather than hanging.
     fn live(slots: &mut HashMap<u64, StreamSlot>, id: u64, token: u64) -> Option<&mut StreamSlot> {
         slots.get_mut(&id).filter(|s| s.token == token)
     }
     // A command pulled while coalescing an ingest group that belongs to
     // a different stream/kind; processed (already counted) next turn.
     let mut carry: Option<Command> = None;
-    // Reusable (ticket, tuples) scratch for coalesced ingest groups.
+    // Reusable (ticket, tuples) scratch for tuple groups.
     let mut group: Vec<(u64, Vec<StreamTuple>)> = Vec::new();
     loop {
         let cmd = match carry.take() {
@@ -828,12 +894,13 @@ fn worker_loop(
                     quarantined: false,
                     last_flagged: 0,
                     wal_seq: 0,
+                    rollback: RollbackLog::default(),
                     metrics,
                     replies,
                 };
                 slot.acknowledge(id, ticket, outcome);
                 if slots.insert(id, slot).is_some() {
-                    publish_evicted(&ops, id, shard, EvictReason::Replaced);
+                    ctx.publish_evicted(id, EvictReason::Replaced);
                 }
                 if opened && ops.bus().has_subscribers() {
                     ops.bus().publish(PoolEvent::StreamOpened {
@@ -859,12 +926,13 @@ fn worker_loop(
                             quarantined: false,
                             last_flagged: 0,
                             wal_seq,
+                            rollback: RollbackLog::default(),
                             metrics,
                             replies,
                         };
                         slot.acknowledge(id, ticket, Ok(BatchOutcome { accepted: 0, updates: 0 }));
                         if slots.insert(id, slot).is_some() {
-                            publish_evicted(&ops, id, shard, EvictReason::Replaced);
+                            ctx.publish_evicted(id, EvictReason::Replaced);
                         }
                         if ops.bus().has_subscribers() {
                             ops.bus().publish(PoolEvent::StreamMigrated { stream_id: id, shard });
@@ -879,62 +947,33 @@ fn worker_loop(
                 }
             }
             Command::Prefill { id, token, ticket, tuples } => {
-                if let Some(s) = live(&mut slots, id, token) {
-                    let j = journal.as_ref();
-                    apply_batch(
-                        &ops,
-                        policy,
-                        j,
-                        &buffers,
-                        shard,
-                        s,
-                        id,
-                        ticket,
-                        QuarantinedOp::Prefill,
-                        tuples,
-                    );
-                } else {
-                    buffers.put(tuples);
+                // A one-segment group: prefill never coalesces with
+                // ingest (the two drive different engine calls).
+                group.clear();
+                group.push((ticket, tuples));
+                match live(&mut slots, id, token) {
+                    Some(s) => ctx.apply_group(s, id, QuarantinedOp::Prefill, &mut group),
+                    None => group.drain(..).for_each(|(_, buf)| buffers.put(buf)),
                 }
             }
             Command::WarmStart { id, token, ticket, opts } => {
                 if let Some(s) = live(&mut slots, id, token) {
-                    let outcome = if s.quarantined {
-                        // A warm start on a rolled-back model would bake
-                        // the missing quarantined batches into the
-                        // factors; replay first.
-                        Err(SnsError::StreamQuarantined {
-                            stream_id: id,
-                            pending: ops.dlq().pending(id),
-                        })
-                    } else {
-                        s.guard(id, |e| {
-                            e.warm_start(&opts);
-                            Ok(BatchOutcome { accepted: 0, updates: 0 })
-                        })
-                    };
-                    if outcome.is_err() {
-                        s.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let applied = outcome.is_ok();
-                    s.acknowledge(id, ticket, outcome);
-                    if applied {
-                        let jop = JournalOp::WarmStart(&opts);
-                        journal_op(&ops, journal.as_ref(), s, shard, id, ticket, jop);
-                    }
+                    ctx.apply_control(s, id, ticket, JournalOp::WarmStart(&opts), |e| {
+                        e.warm_start(&opts);
+                        BatchOutcome { accepted: 0, updates: 0 }
+                    });
                 }
             }
             Command::Ingest { id, token, ticket, tuples } => {
                 // Coalesce: drain every already-queued consecutive
                 // ingest for the same session in this one channel
                 // acquisition run and drive them as a single group —
-                // one slot lookup, one rollback snapshot, one metrics
-                // flush. The first command for a different stream (or
-                // of a different kind) is carried into the next loop
-                // turn, preserving global submission order. Per-tuple
-                // update order inside the engine is untouched, so
-                // results stay bitwise identical to per-batch
-                // execution (see `apply_ingest_group`).
+                // one slot lookup, one metrics flush. The first command
+                // for a different stream (or of a different kind) is
+                // carried into the next loop turn, preserving global
+                // submission order. Per-tuple update order inside the
+                // engine is untouched, so results stay bitwise identical
+                // to per-batch execution (see `ShardCtx::apply_group`).
                 group.clear();
                 group.push((ticket, tuples));
                 let mut drained = 0u64;
@@ -953,52 +992,24 @@ fn worker_loop(
                         Err(_) => break,
                     }
                 }
+                let shard_metrics = ops.metrics().shard(shard);
                 if drained > 0 {
-                    let shard_metrics = ops.metrics().shard(shard);
                     shard_metrics.queue_depth.fetch_sub(drained as i64, Ordering::Relaxed);
                     shard_metrics.commands.fetch_add(drained, Ordering::Relaxed);
                 }
-                ops.metrics().shard(shard).ingest_groups.fetch_add(1, Ordering::Relaxed);
-                if let Some(s) = live(&mut slots, id, token) {
-                    let j = journal.as_ref();
-                    apply_ingest_group(&ops, policy, j, &buffers, shard, s, id, &mut group);
-                } else {
+                shard_metrics.ingest_groups.fetch_add(1, Ordering::Relaxed);
+                match live(&mut slots, id, token) {
+                    Some(s) => ctx.apply_group(s, id, QuarantinedOp::Ingest, &mut group),
                     // Stale session: drop the batches, recycle buffers.
-                    for (_, buf) in group.drain(..) {
-                        buffers.put(buf);
-                    }
+                    None => group.drain(..).for_each(|(_, buf)| buffers.put(buf)),
                 }
             }
             Command::AdvanceTo { id, token, ticket, t } => {
                 if let Some(s) = live(&mut slots, id, token) {
-                    let outcome = if s.quarantined {
-                        // Advancing the clock past quarantined batches
-                        // would desynchronize their replay chronology.
-                        Err(SnsError::StreamQuarantined {
-                            stream_id: id,
-                            pending: ops.dlq().pending(id),
-                        })
-                    } else {
-                        s.guard(id, |e| {
-                            Ok(BatchOutcome { accepted: 0, updates: e.advance_to(t) as u64 })
-                        })
-                    };
-                    if outcome.is_err() {
-                        s.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let applied = outcome.is_ok();
-                    s.acknowledge(id, ticket, outcome);
-                    if applied {
-                        journal_op(
-                            &ops,
-                            journal.as_ref(),
-                            s,
-                            shard,
-                            id,
-                            ticket,
-                            JournalOp::AdvanceTo(t),
-                        );
-                    }
+                    ctx.apply_control(s, id, ticket, JournalOp::AdvanceTo(t), |e| BatchOutcome {
+                        accepted: 0,
+                        updates: e.advance_to(t) as u64,
+                    });
                 }
             }
             Command::Release { id, token, ticket } => {
@@ -1018,20 +1029,7 @@ fn worker_loop(
             }
             Command::Snapshot { id, token, ticket } => {
                 if let Some(s) = live(&mut slots, id, token) {
-                    // Deliberately not `guard`ed: a snapshot failure (e.g.
-                    // an engine without capture support) must not be
-                    // recorded as a stream error.
-                    let result = match (&s.engine, &s.error) {
-                        (Some(engine), _) => engine.snapshot().map(|state| EngineSnapshot {
-                            stream_id: id,
-                            spec: s.spec.clone(),
-                            seed: s.seed,
-                            wal_seq: s.wal_seq,
-                            state,
-                        }),
-                        (None, Some(err)) => Err(err.clone()),
-                        (None, None) => Err(SnsError::StreamClosed { stream_id: id }),
-                    };
+                    let result = s.capture(id);
                     let _ = s
                         .replies
                         .send(SessionReply { ticket, body: ReplyBody::Snapshot(Box::new(result)) });
@@ -1040,25 +1038,19 @@ fn worker_loop(
             Command::Close { id, token } => {
                 if slots.get(&id).is_some_and(|s| s.token == token) {
                     slots.remove(&id);
-                    publish_evicted(&ops, id, shard, EvictReason::Closed);
+                    ctx.publish_evicted(id, EvictReason::Closed);
                 }
             }
             Command::CheckpointShard { replies } => {
+                // Every stream's state is captured at once here — the
+                // pool's memory peak. Rollback bases are released first
+                // so they do not double it; each stream's next tuple
+                // group re-captures.
                 let mut out: Vec<(u64, Result<EngineSnapshot, SnsError>)> = slots
-                    .iter()
+                    .iter_mut()
                     .map(|(&id, s)| {
-                        let result = match (&s.engine, &s.error) {
-                            (Some(engine), _) => engine.snapshot().map(|state| EngineSnapshot {
-                                stream_id: id,
-                                spec: s.spec.clone(),
-                                seed: s.seed,
-                                wal_seq: s.wal_seq,
-                                state,
-                            }),
-                            (None, Some(err)) => Err(err.clone()),
-                            (None, None) => Err(SnsError::StreamClosed { stream_id: id }),
-                        };
-                        (id, result)
+                        s.rollback.clear();
+                        (id, s.capture(id))
                     })
                     .collect();
                 out.sort_by_key(|&(id, _)| id);
@@ -1066,7 +1058,7 @@ fn worker_loop(
             }
             Command::Evict { id } => {
                 if slots.remove(&id).is_some() {
-                    publish_evicted(&ops, id, shard, EvictReason::Evicted);
+                    ctx.publish_evicted(id, EvictReason::Evicted);
                 }
             }
             Command::Shutdown => break,
@@ -1107,14 +1099,17 @@ impl EnginePool {
         let mut buffer_pools = Vec::with_capacity(shards);
         for i in 0..shards {
             let (tx, rx) = sync_channel::<Command>(queue_depth);
-            let worker_ops = ops.clone();
-            let policy = cfg.quarantine;
-            let journal = cfg.journal.clone();
             let buffers = BufferPool::new();
-            let worker_buffers = buffers.clone();
+            let ctx = ShardCtx {
+                shard: i,
+                ops: ops.clone(),
+                policy: cfg.quarantine,
+                journal: cfg.journal.clone(),
+                buffers: buffers.clone(),
+            };
             let handle = std::thread::Builder::new()
                 .name(format!("sns-pool-{i}"))
-                .spawn(move || worker_loop(i, rx, worker_ops, policy, journal, worker_buffers))
+                .spawn(move || worker_loop(ctx, rx))
                 .expect("spawn engine pool worker");
             senders.push(tx);
             workers.push(handle);
@@ -1524,7 +1519,7 @@ impl StreamSession {
             }
             self.pending_at.pop_front();
             if t == ticket {
-                latency = Some(at.elapsed());
+                latency = Some(sns_ops::clock::elapsed(at));
             }
         }
         match (r, latency) {
@@ -2163,5 +2158,63 @@ mod tests {
             pool.restore(snapshot, 9).unwrap_err(),
             SnsError::ShardOutOfRange { shard: 9, shards: 2 }
         ));
+    }
+
+    /// The rollback base is amortized: at taxi-shaped state (150×150,
+    /// W = 10, a few thousand window non-zeros) a stream re-captures it
+    /// once per window's worth of replay work, so 200 pipelined 16-tuple
+    /// batches cost a handful of captures instead of one per group — and
+    /// `Disabled` never captures.
+    #[test]
+    fn rollback_captures_amortize_across_groups() {
+        let (dims, window, period) = ([150usize, 150], 10usize, 100u64);
+        let trace = sns_data::generate(&sns_data::GeneratorConfig {
+            base_dims: dims.to_vec(),
+            n_components: 6,
+            events: 12_000,
+            duration: 1_800,
+            noise_fraction: 0.08,
+            seed: 21,
+            ..Default::default()
+        });
+        let cut = trace.partition_point(|t| t.time <= window as u64 * period);
+        let live: Vec<&[StreamTuple]> = trace[cut..].chunks(16).take(200).collect();
+        assert_eq!(live.len(), 200, "trace too short");
+        let config = SnsConfig { rank: 4, ..Default::default() };
+        let spec = EngineSpec::sns(&dims, window, period, AlgorithmKind::PlusVec, &config);
+        for policy in [QuarantinePolicy::Rollback, QuarantinePolicy::Disabled] {
+            let pool =
+                EnginePool::new(PoolConfig { shards: 1, quarantine: policy, ..Default::default() });
+            let mut session = pool.open(1, spec.clone()).unwrap();
+            for chunk in trace[..cut].chunks(512) {
+                let _ = session.prefill_batch(chunk).unwrap();
+            }
+            let _ = session.warm_start(&AlsOptions { max_iters: 2, ..Default::default() }).unwrap();
+            let shard = pool.ops().metrics().shard(0);
+            let groups0 = shard.ingest_groups.load(Ordering::Relaxed);
+            let captures0 = shard.rollback_captures.load(Ordering::Relaxed);
+            // Pipelined with at most three batches in flight, so groups
+            // coalesce a little but stay many.
+            for chunk in &live {
+                let _ = session.try_ingest_batch(chunk).unwrap();
+                if session.in_flight() >= 3 {
+                    let _ = session.recv_receipt().unwrap().unwrap();
+                }
+            }
+            while let Some(r) = session.recv_receipt() {
+                let _ = r.unwrap();
+            }
+            let groups = shard.ingest_groups.load(Ordering::Relaxed) - groups0;
+            let captures = shard.rollback_captures.load(Ordering::Relaxed) - captures0;
+            assert!(groups >= 60, "{groups} groups");
+            match policy {
+                QuarantinePolicy::Rollback => {
+                    assert!(captures >= 1, "the first group after warm_start captures");
+                    assert!(captures * 4 <= groups, "{captures} captures for {groups} groups");
+                }
+                QuarantinePolicy::Disabled => assert_eq!(captures, 0),
+            }
+            assert!(pool.ops().metrics().dump().contains("\"rollback_captures\":"));
+        }
     }
 }

@@ -138,7 +138,8 @@ impl DiscreteWindow {
     /// Ingests a tuple, first completing any periods that ended before it.
     ///
     /// # Errors
-    /// Rejects out-of-order tuples and out-of-shape coordinates.
+    /// Rejects out-of-order tuples, out-of-shape coordinates, and
+    /// non-finite values.
     pub fn ingest(&mut self, tuple: StreamTuple, out: &mut Vec<PeriodUpdate>) -> Result<()> {
         let base_order = self.time_mode();
         if tuple.coords.order() != base_order {
@@ -158,6 +159,7 @@ impl DiscreteWindow {
                 return Err(SnsError::OutOfOrder { previous: prev, got: tuple.time });
             }
         }
+        tuple.check_finite()?;
         self.advance_to(tuple.time, out);
         self.last_arrival = Some(tuple.time);
         // Accumulate into the pending unit only; the window tensor does not

@@ -1,5 +1,6 @@
 //! Stream tuples (Definition 1 of the paper).
 
+use sns_error::SnsError;
 use sns_tensor::Coord;
 
 /// One timestamped element of a multi-aspect data stream:
@@ -22,6 +23,16 @@ impl StreamTuple {
     pub fn new(coords: impl Into<Coord>, value: f64, time: u64) -> Self {
         StreamTuple { coords: coords.into(), value, time }
     }
+
+    /// Rejects NaN and ±∞ values with [`SnsError::NonFiniteValue`]. Both
+    /// window models call this before any mutation.
+    pub fn check_finite(&self) -> Result<(), SnsError> {
+        if self.value.is_finite() {
+            Ok(())
+        } else {
+            Err(SnsError::NonFiniteValue { time: self.time, bits: self.value.to_bits() })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -34,6 +45,17 @@ mod tests {
         assert_eq!(t.coords.as_slice(), &[1, 2]);
         assert_eq!(t.value, 3.0);
         assert_eq!(t.time, 99);
+    }
+
+    #[test]
+    fn non_finite_values_are_typed_errors() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let e = StreamTuple::new([0u32], bad, 7).check_finite().unwrap_err();
+            assert_eq!(e, SnsError::NonFiniteValue { time: 7, bits: bad.to_bits() });
+        }
+        for ok in [0.0, -1.0, 1e300, f64::MIN_POSITIVE / 2.0] {
+            assert!(StreamTuple::new([0u32], ok, 7).check_finite().is_ok());
+        }
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl ContinuousWindow {
                 return Err(SnsError::OutOfOrder { previous: prev, got: tuple.time });
             }
         }
-        Ok(())
+        tuple.check_finite()
     }
 
     /// Advances the clock to `t`, draining all boundary events due at or
@@ -163,8 +163,8 @@ impl ContinuousWindow {
     /// the order they were applied.
     ///
     /// # Errors
-    /// Rejects out-of-order tuples and coordinates that do not fit the
-    /// declared shape.
+    /// Rejects out-of-order tuples, coordinates that do not fit the
+    /// declared shape, and non-finite values — all before any mutation.
     pub fn ingest(&mut self, tuple: StreamTuple, out: &mut Vec<Delta>) -> Result<()> {
         self.validate(&tuple)?;
         self.advance_to(tuple.time, out);

@@ -3,16 +3,18 @@
 //! latency histograms, dead-letter quarantine with deterministic
 //! replay, and the typed backpressure contract.
 
+use proptest::prelude::*;
 use slicenstitch::core::als::AlsOptions;
 use slicenstitch::core::{AlgorithmKind, SnsConfig};
 use slicenstitch::data::{generate, GeneratorConfig};
 use slicenstitch::ops::{BusItem, QuarantinedOp};
 use slicenstitch::runtime::pool::stream_seed;
 use slicenstitch::runtime::{
-    ChaosConfig, EnginePool, EngineSnapshot, EngineSpec, PoolConfig, PoolEvent, QuarantinePolicy,
-    SnsError, POISON_VALUE,
+    BaselineKind, ChaosConfig, EnginePool, EngineSnapshot, EngineSpec, PoolConfig, PoolDeadLetter,
+    PoolEvent, QuarantinePolicy, SnsError, StreamSession, POISON_VALUE,
 };
 use slicenstitch::stream::StreamTuple;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 const DIMS: [usize; 2] = [4, 3];
@@ -284,4 +286,252 @@ fn backpressure_carries_context_and_publishes_onset_relief() {
     }
     assert!(onsets > 0 && reliefs > 0, "onset/relief must reach the bus");
     assert!(p99 > 0.0, "slow engine latency must show in the histogram");
+}
+
+fn is_poison(t: &StreamTuple) -> bool {
+    t.value.to_bits() == POISON_VALUE.to_bits()
+}
+
+/// The repair every rollback test applies: poison -> 1.0.
+fn repair(letter: &mut PoolDeadLetter) {
+    for t in letter.tuples.iter_mut().filter(|t| is_poison(t)) {
+        t.value = 1.0;
+    }
+}
+
+/// One step of a driven stream, for the serial reference to mirror.
+#[derive(Debug, Clone)]
+enum Step {
+    Ingest(std::ops::Range<usize>),
+    /// `advance_to(t)`, and whether the pool applied it (a quarantined
+    /// stream rejects clock advances).
+    Advance(u64, bool),
+}
+
+/// Serial per-tuple reference: prefill, warm start, then the steps the
+/// pool applied, over the repaired trace.
+fn serial_bytes(id: u64, spec: &EngineSpec, trace: &[StreamTuple], steps: &[Step]) -> Vec<u8> {
+    let repaired: Vec<StreamTuple> = trace
+        .iter()
+        .map(|t| if is_poison(t) { StreamTuple { value: 1.0, ..*t } } else { *t })
+        .collect();
+    let mut engine = spec.build(stream_seed(BASE_SEED, id));
+    let c = cut(&repaired);
+    for tu in &repaired[..c] {
+        engine.prefill(*tu).unwrap();
+    }
+    engine.warm_start(&als());
+    for step in steps {
+        match step {
+            Step::Ingest(range) => {
+                for tu in &repaired[range.clone()] {
+                    engine.ingest(*tu).unwrap();
+                }
+            }
+            Step::Advance(t, applied) => {
+                if *applied {
+                    engine.advance_to(*t);
+                }
+            }
+        }
+    }
+    slicenstitch::codec::to_bytes(&EngineSnapshot {
+        stream_id: id,
+        spec: spec.clone(),
+        seed: spec.effective_seed(stream_seed(BASE_SEED, id)),
+        wal_seq: 0,
+        state: engine.snapshot().unwrap(),
+    })
+}
+
+/// Collects every outstanding pipelined receipt; returns how many were
+/// rejected as panicked and as quarantined.
+fn drain(session: &mut StreamSession) -> (usize, usize) {
+    let (mut panicked, mut diverted) = (0, 0);
+    while let Some(r) = session.recv_receipt() {
+        match r {
+            Ok(_) => {}
+            Err(SnsError::EnginePanicked { .. }) => panicked += 1,
+            Err(SnsError::StreamQuarantined { .. }) => diverted += 1,
+            Err(e) => panic!("unexpected receipt error: {e}"),
+        }
+    }
+    (panicked, diverted)
+}
+
+/// The engine families the rollback-equivalence property covers.
+fn rollback_family(family: u8) -> EngineSpec {
+    let config = SnsConfig { rank: 2, theta: 10, ..Default::default() };
+    match family {
+        0 => EngineSpec::sns(&DIMS, W, T, AlgorithmKind::PlusRnd, &config),
+        1 => EngineSpec::sns(&DIMS, W, T, AlgorithmKind::Vec, &config),
+        _ => EngineSpec::baseline(&DIMS, W, T, 2, BaselineKind::OnlineScp),
+    }
+}
+
+/// Live tuples driven before the poison can land. The window tensor
+/// has at most `4·3·W = 36` cells, so once that much replay work is
+/// logged the stream must have rebased; in-flight batches are capped
+/// (3 × ≤ 12 tuples) so at least one more group follows the rebase.
+const WARM_LIVE: usize = 120;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Rollback equivalence: a panic anywhere — mid-coalesced-group,
+    /// after at least one rebase, with clock advances interleaved —
+    /// followed by `replay_quarantined` of the repaired letters leaves
+    /// the stream byte-identical to a serial per-tuple run of the
+    /// repaired trace.
+    #[test]
+    fn rollback_replay_equals_serial_per_tuple(
+        case_seed in 0u64..10_000,
+        family in 0u8..3,
+        max_batch in 1usize..13,
+        poison_frac in 0.0f64..1.0,
+        advance_every in 2u64..7,
+    ) {
+        let id = 100 + case_seed;
+        let spec = rollback_family(family).with_chaos(ChaosConfig::default());
+        let mut tr = trace(case_seed, 420);
+        let c = cut(&tr);
+        let live = tr.len() - c;
+        prop_assert!(live > WARM_LIVE + 20, "trace too short: {} live", live);
+        let poison_at = c + WARM_LIVE + ((live - WARM_LIVE - 1) as f64 * poison_frac) as usize;
+        tr[poison_at].value = POISON_VALUE;
+
+        let pool = EnginePool::new(PoolConfig {
+            shards: 1,
+            base_seed: BASE_SEED,
+            ..Default::default()
+        });
+        let mut session = pool.open(id, spec.clone()).unwrap();
+        for chunk in tr[..c].chunks(20) {
+            let _ = session.prefill_batch(chunk).unwrap();
+        }
+        let _ = session.warm_start(&als()).unwrap();
+        let captures = || pool.ops().metrics().shard(0).rollback_captures.load(Ordering::Relaxed);
+        let captures0 = captures();
+
+        // Random batch sizes from a per-case LCG.
+        let mut lcg = case_seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let mut next = |bound: u64| {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (lcg >> 33) % bound
+        };
+        let mut steps = Vec::new();
+        let mut at = c;
+        // Warm phase: no clock advances (they clear the base), at most
+        // three batches in flight, so a rebase is forced.
+        while at < c + WARM_LIVE {
+            let end = (at + 1 + next(max_batch as u64) as usize).min(c + WARM_LIVE);
+            let _ = session.try_ingest_batch(&tr[at..end]).unwrap();
+            steps.push(Step::Ingest(at..end));
+            at = end;
+            if session.in_flight() >= 3 {
+                let _ = session.recv_receipt().unwrap().unwrap();
+            }
+        }
+        prop_assert_eq!(drain(&mut session), (0, 0));
+        prop_assert!(captures() - captures0 >= 2, "no rebase before the poison");
+
+        // Poison phase: fully pipelined (the poison lands in whatever
+        // group the worker coalesced), clock advances at random.
+        while at < tr.len() {
+            if next(advance_every) == 0 {
+                let t = tr[at].time;
+                let applied = match session.advance_to(t) {
+                    Ok(_) => true,
+                    Err(SnsError::StreamQuarantined { .. }) => false,
+                    Err(e) => panic!("advance_to: {e}"),
+                };
+                steps.push(Step::Advance(t, applied));
+            }
+            let end = (at + 1 + next(max_batch as u64) as usize).min(tr.len());
+            let _ = session.try_ingest_batch(&tr[at..end]).unwrap();
+            steps.push(Step::Ingest(at..end));
+            at = end;
+        }
+        let (panicked, diverted) = drain(&mut session);
+        prop_assert_eq!(panicked, 1);
+        prop_assert_eq!(pool.ops().dlq().pending(id), 1 + diverted);
+
+        let replayed = session.replay_quarantined(repair).unwrap();
+        prop_assert_eq!(replayed, 1 + diverted);
+        let pooled = slicenstitch::codec::to_bytes(&session.snapshot().unwrap());
+        prop_assert!(
+            pooled == serial_bytes(id, &spec, &tr, &steps),
+            "family {} diverged from its serial reference",
+            family
+        );
+        drop(session);
+        pool.join();
+    }
+}
+
+/// The base-clearing command whose first following tuple group a
+/// deterministic rollback case poisons.
+#[derive(Debug, Clone, Copy)]
+enum PoisonAfter {
+    Open,
+    WarmStart,
+    Restore,
+}
+
+/// A panic in the very first tuple group after open, after
+/// `warm_start`, and after `restore` — each a point where the stream
+/// has no rollback base yet — still rolls back and replays to the
+/// serial bytes.
+#[test]
+fn panic_in_the_first_group_after_a_base_reset_rolls_back_bitwise() {
+    for (k, case) in
+        [PoisonAfter::Open, PoisonAfter::WarmStart, PoisonAfter::Restore].into_iter().enumerate()
+    {
+        let id = 60 + k as u64;
+        let spec = sns_spec().with_chaos(ChaosConfig::default());
+        let mut tr = trace(id, 300);
+        let c = cut(&tr);
+        let restore_at = c + 60;
+        let poison_at = match case {
+            PoisonAfter::Open => 3,
+            PoisonAfter::WarmStart => c + 3,
+            PoisonAfter::Restore => restore_at + 3,
+        };
+        tr[poison_at].value = POISON_VALUE;
+        let pool =
+            EnginePool::new(PoolConfig { shards: 2, base_seed: BASE_SEED, ..Default::default() });
+        let mut session = pool.open(id, spec.clone()).unwrap();
+        for chunk in tr[..c].chunks(20) {
+            if let Err(e) = session.prefill_batch(chunk) {
+                assert!(matches!(e, SnsError::EnginePanicked { .. }), "{case:?}: {e}");
+                assert_eq!(session.replay_quarantined(repair).unwrap(), 1, "{case:?}");
+            }
+        }
+        let _ = session.warm_start(&als()).unwrap();
+        let mut from = c;
+        if let PoisonAfter::Restore = case {
+            let _ = session.ingest_batch(&tr[c..restore_at]).unwrap();
+            let snapshot = session.snapshot().unwrap();
+            let target = (session.shard() + 1) % pool.shards();
+            session = pool.restore(snapshot, target).unwrap();
+            from = restore_at;
+        }
+        // Pipelined, so the poison batch shares a coalesced group.
+        for chunk in tr[from..].chunks(8) {
+            let _ = session.try_ingest_batch(chunk).unwrap();
+        }
+        let (panicked, diverted) = drain(&mut session);
+        match case {
+            PoisonAfter::Open => assert_eq!((panicked, diverted), (0, 0)),
+            _ => assert_eq!(panicked, 1, "{case:?}"),
+        }
+        if panicked > 0 {
+            assert_eq!(session.replay_quarantined(repair).unwrap(), 1 + diverted, "{case:?}");
+        }
+        let pooled = slicenstitch::codec::to_bytes(&session.snapshot().unwrap());
+        let steps = [Step::Ingest(c..tr.len())];
+        assert!(pooled == serial_bytes(id, &spec, &tr, &steps), "{case:?} diverged");
+        drop(session);
+        pool.join();
+    }
 }

@@ -171,6 +171,42 @@ proptest! {
 /// Section boundaries are where framing bugs live: truncate exactly at
 /// the envelope header, at each section's tag/length/payload edges, and
 /// inside the checksum, for every family.
+/// Hostile values never reach the model: NaN and ±∞ are rejected with
+/// a typed error before any mutation — by the continuous window, the
+/// conventional (baseline) window, and the anomaly decorator — so the
+/// engine's captured bytes do not move.
+#[test]
+fn non_finite_values_are_rejected_before_any_mutation() {
+    let tuples = stream(0xf1, 400);
+    let last = *tuples.last().unwrap();
+    for family in 0..7 {
+        let spec = family_spec(family);
+        let mut engine = spec.build(11);
+        drive_protocol(engine.as_mut(), &tuples);
+        let bytes = |e: &dyn StreamingCpd| {
+            to_bytes(&EngineSnapshot {
+                stream_id: 1,
+                spec: spec.clone(),
+                seed: 11,
+                wal_seq: 0,
+                state: e.snapshot().unwrap(),
+            })
+        };
+        let before = bytes(engine.as_ref());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let tu = StreamTuple::new(last.coords, bad, last.time + 1);
+            let expected = SnsError::NonFiniteValue { time: tu.time, bits: bad.to_bits() };
+            let name = family_name(family);
+            assert_eq!(engine.ingest(tu).unwrap_err(), expected, "{name} ingest {bad}");
+            assert_eq!(engine.prefill(tu).unwrap_err(), expected, "{name} prefill {bad}");
+            let batch = engine.ingest_all(&[tu]).unwrap_err();
+            assert_eq!((batch.accepted(), batch.root_cause()), (Some(0), &expected));
+            assert_eq!(bytes(engine.as_ref()), before, "{name} mutated by {bad}");
+        }
+        assert!(engine.kruskal().is_finite());
+    }
+}
+
 #[test]
 fn truncation_at_section_boundaries_is_typed_for_every_family() {
     let tuples = stream(0xfee1, 250);
