@@ -13,7 +13,7 @@ use crate::report::{banner, f, observation, Table};
 use crate::runner::ExperimentParams;
 use sns_baselines::{CpStream, OnlineScp, PeriodicCpd};
 use sns_core::anomaly::AnomalyDetector;
-use sns_core::config::{AlgorithmKind, Precision, SnsConfig};
+use sns_core::config::{AlgorithmKind, SnsConfig};
 use sns_core::update::{ContinuousUpdater, Updater};
 use sns_data::{generate, inject_anomalies, nytaxi_like, InjectedAnomaly};
 use sns_stream::{ContinuousWindow, DeltaKind, DiscreteWindow, StreamTuple};
@@ -79,7 +79,6 @@ fn detect_continuous(
         eta: params.eta,
         init_scale: 1.0,
         seed,
-        precision: Precision::F64,
     };
     let mut dims = params.base_dims.clone();
     dims.push(params.window);

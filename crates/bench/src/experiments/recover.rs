@@ -41,7 +41,7 @@ use sns_codec::store::{checkpoint_pool, recover_pool, CheckpointStore};
 use sns_codec::to_bytes;
 use sns_codec::wal::{recover_pool_wal, WalSet};
 use sns_core::als::AlsOptions;
-use sns_core::config::{AlgorithmKind, Precision, SnsConfig};
+use sns_core::config::{AlgorithmKind, SnsConfig};
 use sns_data::replay::{replay, ReplayPlan};
 use sns_data::{generate, nytaxi_like, DatasetSpec};
 use sns_runtime::BatchJournal;
@@ -223,14 +223,7 @@ fn fleet(spec: &DatasetSpec) -> Vec<(u64, EngineSpec)> {
             spec.window,
             spec.period,
             kind,
-            &SnsConfig {
-                rank: 4,
-                theta: spec.theta,
-                eta: spec.eta,
-                init_scale: 1.0,
-                seed: 0,
-                precision: Precision::F64,
-            },
+            &SnsConfig { rank: 4, theta: spec.theta, eta: spec.eta, init_scale: 1.0, seed: 0 },
         )
     };
     let baseline = |algo| EngineSpec::baseline(spec.base_dims, spec.window, spec.period, 4, algo);

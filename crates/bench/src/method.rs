@@ -2,7 +2,7 @@
 //! conventional baselines.
 
 use crate::runner::{ExperimentParams, RunConfig};
-use sns_core::config::{AlgorithmKind, Precision, SnsConfig};
+use sns_core::config::{AlgorithmKind, SnsConfig};
 use sns_runtime::{BaselineKind, EngineSpec, StreamingCpd};
 
 /// A method under evaluation.
@@ -54,7 +54,6 @@ impl Method {
                     eta: params.eta,
                     init_scale: 1.0,
                     seed: 0, // not captured by the spec
-                    precision: Precision::F64,
                 },
             ),
             _ => {

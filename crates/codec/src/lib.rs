@@ -64,6 +64,13 @@
 //! (`tests/fixtures/`) pin both the current and the v1 wire format, so
 //! silent drift in either is a CI failure.
 //!
+//! **Retired tags.** Two tags once carried an `f32` factor-storage
+//! profile and are now rejected with a typed [`SnsError::Codec`]; no
+//! future layout may reuse them:
+//!
+//! - engine-spec tag `3` (an SNS spec with a trailing precision byte),
+//! - updater-state tags `16..=20` (the f64 updater tags offset by 16).
+//!
 //! No serde: the wire forms are hand-rolled like the rest of the
 //! workspace's `vendor/` shims, keeping the dependency set closed.
 
@@ -429,6 +436,25 @@ mod tests {
         }
     }
 
+    /// Rebuilds `good`'s envelope with every section payload passed
+    /// through `edit`, re-framing the sections and re-sealing the
+    /// checksum so only the edited bytes can make decoding fail.
+    fn reseal(good: &[u8], edit: impl Fn(u8, &mut Vec<u8>)) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(&good[..7]); // magic + version + section count
+        let mut r = Reader::new(&good[7..good.len() - 8]);
+        for _ in 0..3 {
+            let tag = r.u8("tag").unwrap();
+            let len = r.usize("len").unwrap();
+            let mut payload = r.bytes(len, "payload").unwrap().to_vec();
+            edit(tag, &mut payload);
+            put_section(&mut w, tag, |w| w.bytes(&payload));
+        }
+        let checksum = fnv1a(w.as_slice());
+        w.u64(checksum);
+        w.into_bytes()
+    }
+
     #[test]
     fn round_trip_is_byte_identical() {
         let bytes = to_bytes(&snapshot());
@@ -534,25 +560,12 @@ mod tests {
         // A well-framed, checksum-valid snapshot whose STATE payload is
         // thousands of repeated Anomaly tags must fail with a typed
         // Invalid error instead of recursing once per byte.
-        let good = to_bytes(&snapshot());
-        let mut w = Writer::new();
-        w.bytes(&good[..7]); // magic + version + section count
-        let mut r = Reader::new(&good[7..good.len() - 8]);
-        for _ in 0..2 {
-            let tag = r.u8("tag").unwrap();
-            let len = r.usize("len").unwrap();
-            let payload = r.bytes(len, "payload").unwrap();
-            w.u8(tag);
-            w.u64(len as u64);
-            w.bytes(payload);
-        }
-        w.u8(3); // STATE section
-        let bomb = vec![2u8; 100_000];
-        w.u64(bomb.len() as u64);
-        w.bytes(&bomb);
-        let checksum = fnv1a(w.as_slice());
-        w.u64(checksum);
-        match from_bytes(&w.into_bytes()) {
+        let bomb = reseal(&to_bytes(&snapshot()), |tag, p| {
+            if tag == SECTION_STATE {
+                *p = vec![2u8; 100_000];
+            }
+        });
+        match from_bytes(&bomb) {
             Err(SnsError::Codec { fault: CodecFault::Invalid, detail, .. }) => {
                 assert!(detail.contains("nested"), "{detail}");
             }
@@ -578,57 +591,58 @@ mod tests {
         ));
     }
 
-    /// An `f32`-profile snapshot round-trips byte-identically, carries a
-    /// wire tag distinct from the `f64` encoding of the same engine, and
-    /// restores to a bitwise-equal engine (the f32 invariant makes the
-    /// rounded masters exactly representable).
+    /// The retired `f32`-profile tags (updater tags `16 + k`, spec tag 3)
+    /// fail with a typed error instead of thawing, as f32 or as f64.
     #[test]
-    fn f32_profile_round_trips_with_a_distinct_wire_flag() {
-        use sns_core::config::Precision;
-        let mut encoded = Vec::new();
-        for precision in [Precision::F64, Precision::F32] {
-            let config = SnsConfig { rank: 3, theta: 2, seed: 9, precision, ..Default::default() };
-            let mut e = SnsEngine::new(&[4, 3], 3, 10, AlgorithmKind::PlusVec, &config);
+    fn retired_wire_tags_are_rejected_typed() {
+        let config = SnsConfig { rank: 3, theta: 2, seed: 9, ..Default::default() };
+        for kind in &AlgorithmKind::ALL[1..] {
+            let mut e = SnsEngine::new(&[4, 3], 3, 10, *kind, &config);
             for t in 0..60u64 {
                 e.ingest(StreamTuple::new([(t % 4) as u32, (t % 3) as u32], 1.0, t)).unwrap();
             }
             let snap = EngineSnapshot {
                 stream_id: 7,
-                spec: EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusVec, &config),
+                spec: EngineSpec::sns(&[4, 3], 3, 10, *kind, &config),
                 seed: 0xf00d,
                 wal_seq: 0,
                 state: e.capture().unwrap(),
             };
-            let bytes = to_bytes(&snap);
-            let decoded = from_bytes(&bytes).unwrap();
-            assert_eq!(to_bytes(&decoded), bytes, "re-encode must be canonical");
-            // The restored engine continues bitwise-identically to the
-            // captured one.
-            let mut restored = decoded.state.into_engine().unwrap();
-            for t in 60..90u64 {
-                let tu = StreamTuple::new([(t % 4) as u32, (t % 3) as u32], 1.0, t);
-                restored.ingest(tu).unwrap();
-                e.ingest(tu).unwrap();
-            }
-            assert_eq!(
-                to_bytes(&EngineSnapshot {
-                    stream_id: 7,
-                    spec: decoded.spec.clone(),
-                    seed: 0xf00d,
-                    wal_seq: 0,
-                    state: restored.snapshot().unwrap(),
-                }),
-                to_bytes(&EngineSnapshot {
-                    stream_id: 7,
-                    spec: snap.spec.clone(),
-                    seed: 0xf00d,
-                    wal_seq: 0,
-                    state: e.capture().unwrap(),
-                }),
-                "{precision:?}: restored engine drifted from the original"
+            let good = to_bytes(&snap);
+            assert_eq!(reseal(&good, |_, _| {}), good, "resealing alone must be lossless");
+
+            // STATE = engine tag | continuous window | updater tag | …
+            let sns_runtime::EngineState::Sns(state) = &snap.state else { unreachable!() };
+            let mut window = Writer::new();
+            wire::put_continuous_window(&mut window, &state.window);
+            let at = 1 + window.len();
+            let retired = reseal(&good, |tag, p| {
+                if tag == SECTION_STATE {
+                    assert!((1..=4).contains(&p[at]), "updater tag {} for {kind}", p[at]);
+                    p[at] += 16;
+                }
+            });
+            assert!(
+                matches!(from_bytes(&retired), Err(SnsError::Codec { .. })),
+                "{kind}: retired updater tag must be rejected"
             );
-            encoded.push(bytes);
+
+            // Spec tag 3 followed the kind byte with a precision byte
+            // (0 = f64, 1 = f32): tag | dims len | dims | window | period | kind.
+            let kind_end = 1 + 8 + 8 * 2 + 8 + 8 + 1;
+            for precision in [0u8, 1] {
+                let retired = reseal(&good, |tag, p| {
+                    if tag == SECTION_SPEC {
+                        assert_eq!(p[0], 0, "SNS spec tag");
+                        p[0] = 3;
+                        p.insert(kind_end, precision);
+                    }
+                });
+                assert!(
+                    matches!(from_bytes(&retired), Err(SnsError::Codec { .. })),
+                    "{kind}: retired spec tag 3 (precision byte {precision}) must be rejected"
+                );
+            }
         }
-        assert_ne!(encoded[0], encoded[1], "f32 and f64 profiles must encode distinctly");
     }
 }

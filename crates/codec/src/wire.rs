@@ -11,7 +11,7 @@
 use crate::bytes::{Reader, Writer};
 use sns_baselines::{BaselineAlgoState, BaselineEngineState};
 use sns_core::anomaly::{DetectorState, ScoredEvent};
-use sns_core::config::{AlgorithmKind, Precision};
+use sns_core::config::AlgorithmKind;
 use sns_core::engine::SnsEngineState;
 use sns_core::kruskal::KruskalTensor;
 use sns_core::update::UpdaterState;
@@ -308,41 +308,12 @@ fn kind_from_tag(r: &Reader, tag: u8) -> Result<AlgorithmKind, SnsError> {
     })
 }
 
-fn precision_tag(p: Precision) -> u8 {
-    match p {
-        Precision::F64 => 0,
-        Precision::F32 => 1,
-    }
-}
-
-fn precision_from_tag(r: &Reader, tag: u8) -> Result<Precision, SnsError> {
-    Ok(match tag {
-        0 => Precision::F64,
-        1 => Precision::F32,
-        t => return Err(r.invalid(format!("precision tag {t}"))),
-    })
-}
-
-/// Encodes an engine spec (tagged by engine family and precision).
+/// Encodes an engine spec (tagged by engine family; tag 3 is retired,
+/// see the crate docs).
 pub fn put_spec(w: &mut Writer, spec: &EngineSpec) {
     match spec {
-        // Tag 0 is the legacy f64 layout (byte-identical to pre-precision
-        // snapshots); the f32 profile travels under its own tag 3 with an
-        // explicit precision byte, so old decoders reject rather than
-        // silently misread it.
-        EngineSpec::Sns {
-            base_dims,
-            window,
-            period,
-            kind,
-            rank,
-            theta,
-            eta,
-            init_scale,
-            precision,
-            seed,
-        } => {
-            w.u8(if *precision == Precision::F64 { 0 } else { 3 });
+        EngineSpec::Sns { base_dims, window, period, kind, rank, theta, eta, init_scale, seed } => {
+            w.u8(0);
             w.usize(base_dims.len());
             for &d in base_dims {
                 w.usize(d);
@@ -350,9 +321,6 @@ pub fn put_spec(w: &mut Writer, spec: &EngineSpec) {
             w.usize(*window);
             w.u64(*period);
             w.u8(kind_tag(*kind));
-            if *precision != Precision::F64 {
-                w.u8(precision_tag(*precision));
-            }
             w.usize(*rank);
             w.usize(*theta);
             w.f64(*eta);
@@ -406,7 +374,7 @@ pub fn get_spec(r: &mut Reader) -> Result<EngineSpec, SnsError> {
 
 fn get_spec_at(r: &mut Reader, depth: usize) -> Result<EngineSpec, SnsError> {
     match r.u8("spec tag")? {
-        tag @ (0 | 3) => {
+        0 => {
             let n = r.len(8, "base dims")?;
             let base_dims = (0..n).map(|_| r.usize("base dim")).collect::<Result<Vec<_>, _>>()?;
             let window = r.usize("window")?;
@@ -414,12 +382,6 @@ fn get_spec_at(r: &mut Reader, depth: usize) -> Result<EngineSpec, SnsError> {
             let kind = {
                 let tag = r.u8("kind")?;
                 kind_from_tag(r, tag)?
-            };
-            let precision = if tag == 3 {
-                let p = r.u8("precision")?;
-                precision_from_tag(r, p)?
-            } else {
-                Precision::F64
             };
             let rank = r.usize("rank")?;
             let theta = r.usize("theta")?;
@@ -435,7 +397,6 @@ fn get_spec_at(r: &mut Reader, depth: usize) -> Result<EngineSpec, SnsError> {
                 theta,
                 eta,
                 init_scale,
-                precision,
                 seed,
             })
         }
@@ -505,43 +466,37 @@ fn get_rng(r: &mut Reader) -> Result<[u64; 4], SnsError> {
     Ok([r.u64("rng")?, r.u64("rng")?, r.u64("rng")?, r.u64("rng")?])
 }
 
-/// Tag offset for f32-profile updater states. The payload layout is
-/// identical to the f64 tags 0–4; only the tag differs, so f64 snapshots
-/// stay byte-identical to the legacy format and old decoders reject f32
-/// snapshots instead of silently dropping the profile.
-const F32_TAG_OFFSET: u8 = 16;
-
-/// Encodes the SliceNStitch updater state (tagged by algorithm).
+/// Encodes the SliceNStitch updater state (tagged by algorithm; tags
+/// ≥ 16 are retired, see the crate docs).
 pub fn put_updater(w: &mut Writer, u: &UpdaterState) {
-    let offset = if u.precision() == Precision::F32 { F32_TAG_OFFSET } else { 0 };
     match u {
         UpdaterState::Mat { factors, grams } => {
             w.u8(0);
             put_kruskal(w, factors);
             put_mats(w, grams);
         }
-        UpdaterState::Vec { factors, grams, precision: _, diverged } => {
-            w.u8(1 + offset);
+        UpdaterState::Vec { factors, grams, diverged } => {
+            w.u8(1);
             put_kruskal(w, factors);
             put_mats(w, grams);
             w.bool(*diverged);
         }
-        UpdaterState::Rnd { factors, grams, precision: _, theta, rng, diverged } => {
-            w.u8(2 + offset);
+        UpdaterState::Rnd { factors, grams, theta, rng, diverged } => {
+            w.u8(2);
             put_kruskal(w, factors);
             put_mats(w, grams);
             w.usize(*theta);
             put_rng(w, rng);
             w.bool(*diverged);
         }
-        UpdaterState::PlusVec { factors, grams, precision: _, eta } => {
-            w.u8(3 + offset);
+        UpdaterState::PlusVec { factors, grams, eta } => {
+            w.u8(3);
             put_kruskal(w, factors);
             put_mats(w, grams);
             w.f64(*eta);
         }
-        UpdaterState::PlusRnd { factors, grams, precision: _, theta, eta, rng } => {
-            w.u8(4 + offset);
+        UpdaterState::PlusRnd { factors, grams, theta, eta, rng } => {
+            w.u8(4);
             put_kruskal(w, factors);
             put_mats(w, grams);
             w.usize(*theta);
@@ -554,25 +509,16 @@ pub fn put_updater(w: &mut Writer, u: &UpdaterState) {
 /// Decodes the updater state written by [`put_updater`].
 pub fn get_updater(r: &mut Reader) -> Result<UpdaterState, SnsError> {
     let tag = r.u8("updater tag")?;
-    let (base, precision) = if tag >= F32_TAG_OFFSET {
-        (tag - F32_TAG_OFFSET, Precision::F32)
-    } else {
-        (tag, Precision::F64)
-    };
-    match base {
-        0 if precision == Precision::F64 => {
-            Ok(UpdaterState::Mat { factors: get_kruskal(r)?, grams: get_mats(r)? })
-        }
+    match tag {
+        0 => Ok(UpdaterState::Mat { factors: get_kruskal(r)?, grams: get_mats(r)? }),
         1 => Ok(UpdaterState::Vec {
             factors: get_kruskal(r)?,
             grams: get_mats(r)?,
-            precision,
             diverged: r.bool("diverged")?,
         }),
         2 => Ok(UpdaterState::Rnd {
             factors: get_kruskal(r)?,
             grams: get_mats(r)?,
-            precision,
             theta: r.usize("theta")?,
             rng: get_rng(r)?,
             diverged: r.bool("diverged")?,
@@ -580,13 +526,11 @@ pub fn get_updater(r: &mut Reader) -> Result<UpdaterState, SnsError> {
         3 => Ok(UpdaterState::PlusVec {
             factors: get_kruskal(r)?,
             grams: get_mats(r)?,
-            precision,
             eta: r.f64("eta")?,
         }),
         4 => Ok(UpdaterState::PlusRnd {
             factors: get_kruskal(r)?,
             grams: get_mats(r)?,
-            precision,
             theta: r.usize("theta")?,
             eta: r.f64("eta")?,
             rng: get_rng(r)?,

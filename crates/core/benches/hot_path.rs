@@ -20,7 +20,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sns_core::config::Precision;
 use sns_core::config::{AlgorithmKind, SnsConfig};
 use sns_core::engine::SnsEngine;
 use sns_core::grams::compute_grams;
@@ -170,23 +169,7 @@ fn bench_mttkrp(c: &mut Criterion) {
         })
     });
     group.bench_function("row_fiber_interleaved_f64", |b| {
-        let mirror = FactorMirror::new(&k.factors, Precision::F64);
-        let mut out = vec![0.0; RANK];
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % DIMS[0] as u32;
-            mttkrp_row_interleaved(&x, &mirror, 0, i, &mut out).expect("rank-sized buffers");
-            std::hint::black_box(out[0])
-        })
-    });
-    group.bench_function("row_fiber_interleaved_f32", |b| {
-        let mut rounded = k.factors.clone();
-        for m in &mut rounded {
-            for r in 0..m.rows() {
-                sns_core::mirror::round_row_f32(m.row_mut(r));
-            }
-        }
-        let mirror = FactorMirror::new(&rounded, Precision::F32);
+        let mirror = FactorMirror::new(&k.factors);
         let mut out = vec![0.0; RANK];
         let mut i = 0u32;
         b.iter(|| {
@@ -198,7 +181,7 @@ fn bench_mttkrp(c: &mut Criterion) {
     // High-rank split so the parallel path has real work per worker; the
     // serial same-rank entry isolates the thread-spawn overhead.
     let big = KruskalTensor::random(&mut rng, &dims, 128, 1.0);
-    let big_mirror = FactorMirror::new(&big.factors, Precision::F64);
+    let big_mirror = FactorMirror::new(&big.factors);
     for threads in [1usize, 2, 4] {
         group.bench_function(BenchmarkId::new("row_fiber_par_r128", threads), |b| {
             let mut out = vec![0.0; 128];

@@ -54,37 +54,6 @@ impl std::fmt::Display for AlgorithmKind {
     }
 }
 
-/// Factor-storage precision profile for the fast updaters.
-///
-/// [`Precision::F64`] (the default) is the exact path: factors live as
-/// `f64` end to end. [`Precision::F32`] is an opt-in speed profile:
-/// every committed factor row is rounded through `f32` and the kernel
-/// mirror ([`crate::mirror::FactorMirror`]) stores rows as `f32`, so the
-/// memory-bound fiber MTTKRP reads half the bytes. All *accumulation*
-/// stays in `f64`, which keeps the profile deterministic and bounds the
-/// per-commit rounding error at f32 epsilon (`≈1.2e-7` relative per
-/// entry); trajectories drift from the f64 profile but remain
-/// bitwise-reproducible run to run. `SNS_MAT` (full ALS per event) does
-/// not use the fast-updater state and always runs the f64 path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Precision {
-    /// Exact `f64` factors (default).
-    #[default]
-    F64,
-    /// `f32`-stored factors with `f64` accumulation (speed profile).
-    F32,
-}
-
-impl Precision {
-    /// Display name used in bench output and snapshots' debug strings.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Precision::F64 => "f64",
-            Precision::F32 => "f32",
-        }
-    }
-}
-
 /// Hyperparameters shared by all updaters (Table III of the paper).
 #[derive(Debug, Clone)]
 pub struct SnsConfig {
@@ -98,20 +67,11 @@ pub struct SnsConfig {
     pub init_scale: f64,
     /// RNG seed (factor init + sampling), for reproducible runs.
     pub seed: u64,
-    /// Factor-storage precision profile (default: exact `f64`).
-    pub precision: Precision,
 }
 
 impl Default for SnsConfig {
     fn default() -> Self {
-        SnsConfig {
-            rank: 20,
-            theta: 20,
-            eta: 1000.0,
-            init_scale: 1.0,
-            seed: 0x5eed,
-            precision: Precision::F64,
-        }
+        SnsConfig { rank: 20, theta: 20, eta: 1000.0, init_scale: 1.0, seed: 0x5eed }
     }
 }
 
@@ -138,12 +98,6 @@ impl SnsConfig {
         self.seed = seed;
         self
     }
-
-    /// Builder-style precision-profile override.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -160,15 +114,11 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = SnsConfig::with_rank(5).theta(7).eta(32.0).seed(1).precision(Precision::F32);
+        let c = SnsConfig::with_rank(5).theta(7).eta(32.0).seed(1);
         assert_eq!(c.rank, 5);
         assert_eq!(c.theta, 7);
         assert_eq!(c.eta, 32.0);
         assert_eq!(c.seed, 1);
-        assert_eq!(c.precision, Precision::F32);
-        assert_eq!(SnsConfig::default().precision, Precision::F64);
-        assert_eq!(Precision::F64.name(), "f64");
-        assert_eq!(Precision::F32.name(), "f32");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! - [`mttkrp`] — sparse MTTKRP kernels (full, all-modes prefix/suffix,
 //!   per-row with entry-pair blocking, interleaved-mirror and
 //!   rank-split parallel variants, fused sampled-residual),
-//! - [`mirror`] — [`mirror::FactorMirror`]: interleaved, padded (and
-//!   optionally `f32`) factor storage the fiber kernels read,
+//! - [`mirror`] — [`mirror::FactorMirror`]: interleaved, padded `f64`
+//!   factor storage the fiber kernels read,
 //! - [`workspace`] — [`workspace::KernelWorkspace`]: per-updater scratch
 //!   buffers and version-keyed cached `H(m)` Cholesky solves that make
 //!   the steady-state per-event path allocation-free,
@@ -41,7 +41,7 @@ pub mod update;
 pub mod workspace;
 
 pub use anomaly::{AnomalyDetector, DetectorState, ZScoreTracker};
-pub use config::{AlgorithmKind, Precision, SnsConfig};
+pub use config::{AlgorithmKind, SnsConfig};
 pub use engine::{SnsEngine, SnsEngineState};
 pub use kruskal::KruskalTensor;
 pub use update::{ContinuousUpdater, UpdaterState};

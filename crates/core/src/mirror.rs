@@ -6,55 +6,23 @@
 //! and the vectorized inner loop always carries a scalar tail.
 //! [`FactorMirror`] keeps a kernel-facing copy of every factor in
 //! row-major-by-rank layout *padded to a whole register block*
-//! (`stride = R` rounded up to 4 `f64` / 8 `f32` lanes): each row starts
-//! on a block boundary and the padding lanes are zero, so fiber walks
-//! touch contiguous, uniformly-strided memory.
+//! (`stride = R` rounded up to 4 `f64` lanes): each row starts on a
+//! block boundary and the padding lanes are zero, so fiber walks touch
+//! contiguous, uniformly-strided memory.
 //!
 //! The mirror is derived state: [`FactorState`](crate::update::FactorState)
 //! re-syncs the affected row on every commit (an `O(R)` copy next to the
 //! `O(R²)` Gram update) and rebuilds it wholesale on install/restore.
-//! Snapshots never encode it.
-//!
-//! Two element widths exist behind the same API:
-//!
-//! - **f64** (default): rows are bit-identical copies of the master
-//!   factors, so kernels reading the mirror produce bitwise the same
-//!   results as kernels reading the `Mat` rows.
-//! - **f32** ([`Precision::F32`]): rows are stored as `f32`. The master
-//!   factors are themselves rounded through `f32` on every commit (see
-//!   [`round_row_f32`]), so widening a mirror row back to `f64` recovers
-//!   the master values *exactly* — the kernels accumulate in `f64` and
-//!   stay deterministic; only the committed rows carry rounding.
+//! Snapshots never encode it. Rows are bit-identical copies of the
+//! master factors, so kernels reading the mirror produce bitwise the
+//! same results as kernels reading the `Mat` rows.
 
-use crate::config::Precision;
 use sns_linalg::Mat;
 
-/// Pads `rank` up to a whole number of vector blocks for `precision`.
+/// Pads `rank` up to a whole number of 4-lane `f64` blocks.
 #[inline]
-fn padded_stride(rank: usize, precision: Precision) -> usize {
-    let block = match precision {
-        Precision::F64 => 4,
-        Precision::F32 => 8,
-    };
-    rank.div_ceil(block).max(1) * block
-}
-
-/// Rounds every entry of a row through `f32` in place (the
-/// [`Precision::F32`] commit contract).
-#[inline]
-pub fn round_row_f32(row: &mut [f64]) {
-    for v in row {
-        *v = *v as f32 as f64;
-    }
-}
-
-/// Per-mode interleaved storage (see module docs).
-#[derive(Debug, Clone)]
-enum MirrorData {
-    /// Bit-identical `f64` copies of the master rows.
-    F64(Vec<Vec<f64>>),
-    /// `f32` copies of (f32-rounded) master rows.
-    F32(Vec<Vec<f32>>),
+fn padded_stride(rank: usize) -> usize {
+    rank.div_ceil(4).max(1) * 4
 }
 
 /// Kernel-facing padded copy of a factor set (one plane per mode).
@@ -62,34 +30,15 @@ enum MirrorData {
 pub struct FactorMirror {
     rank: usize,
     stride: usize,
-    data: MirrorData,
+    planes: Vec<Vec<f64>>,
 }
 
 impl FactorMirror {
-    /// Builds a mirror of `factors` at the given precision.
-    pub fn new(factors: &[Mat], precision: Precision) -> Self {
-        let rank = factors.first().map_or(0, |f| f.cols());
-        let stride = padded_stride(rank, precision);
-        let data = match precision {
-            Precision::F64 => {
-                MirrorData::F64(factors.iter().map(|f| vec![0.0f64; f.rows() * stride]).collect())
-            }
-            Precision::F32 => {
-                MirrorData::F32(factors.iter().map(|f| vec![0.0f32; f.rows() * stride]).collect())
-            }
-        };
-        let mut m = FactorMirror { rank, stride, data };
+    /// Builds a mirror of `factors`.
+    pub fn new(factors: &[Mat]) -> Self {
+        let mut m = FactorMirror { rank: 0, stride: 0, planes: Vec::new() };
         m.resync(factors);
         m
-    }
-
-    /// Which precision the mirror stores.
-    #[inline]
-    pub fn precision(&self) -> Precision {
-        match self.data {
-            MirrorData::F64(_) => Precision::F64,
-            MirrorData::F32(_) => Precision::F32,
-        }
     }
 
     /// Padded row stride (a multiple of the vector block width, `≥ rank`).
@@ -104,75 +53,33 @@ impl FactorMirror {
         self.rank
     }
 
-    /// Mode `m`'s plane when the mirror is `f64`, else `None`.
+    /// Mode `m`'s plane.
     #[inline]
-    pub fn f64_plane(&self, mode: usize) -> Option<&[f64]> {
-        match &self.data {
-            MirrorData::F64(planes) => Some(&planes[mode]),
-            MirrorData::F32(_) => None,
-        }
-    }
-
-    /// Mode `m`'s plane when the mirror is `f32`, else `None`.
-    #[inline]
-    pub fn f32_plane(&self, mode: usize) -> Option<&[f32]> {
-        match &self.data {
-            MirrorData::F32(planes) => Some(&planes[mode]),
-            MirrorData::F64(_) => None,
-        }
+    pub fn plane(&self, mode: usize) -> &[f64] {
+        &self.planes[mode]
     }
 
     /// Rebuilds every plane from `factors` (install/restore path); the
     /// planes are resized if the shapes changed.
     pub fn resync(&mut self, factors: &[Mat]) {
         self.rank = factors.first().map_or(0, |f| f.cols());
-        self.stride = padded_stride(self.rank, self.precision());
-        match &mut self.data {
-            MirrorData::F64(planes) => {
-                planes.resize(factors.len(), Vec::new());
-                for (plane, f) in planes.iter_mut().zip(factors) {
-                    plane.clear();
-                    plane.resize(f.rows() * self.stride, 0.0);
-                    for i in 0..f.rows() {
-                        plane[i * self.stride..i * self.stride + self.rank]
-                            .copy_from_slice(f.row(i));
-                    }
-                }
-            }
-            MirrorData::F32(planes) => {
-                planes.resize(factors.len(), Vec::new());
-                for (plane, f) in planes.iter_mut().zip(factors) {
-                    plane.clear();
-                    plane.resize(f.rows() * self.stride, 0.0);
-                    for i in 0..f.rows() {
-                        for (dst, &src) in plane[i * self.stride..i * self.stride + self.rank]
-                            .iter_mut()
-                            .zip(f.row(i))
-                        {
-                            *dst = src as f32;
-                        }
-                    }
-                }
+        self.stride = padded_stride(self.rank);
+        self.planes.resize(factors.len(), Vec::new());
+        for (plane, f) in self.planes.iter_mut().zip(factors) {
+            plane.clear();
+            plane.resize(f.rows() * self.stride, 0.0);
+            for i in 0..f.rows() {
+                plane[i * self.stride..i * self.stride + self.rank].copy_from_slice(f.row(i));
             }
         }
     }
 
-    /// Copies one (already precision-rounded) master row into its mirror
-    /// slot — the per-commit sync.
+    /// Copies one master row into its mirror slot — the per-commit sync.
     #[inline]
     pub fn sync_row(&mut self, mode: usize, index: usize, row: &[f64]) {
         debug_assert_eq!(row.len(), self.rank);
         let at = index * self.stride;
-        match &mut self.data {
-            MirrorData::F64(planes) => {
-                planes[mode][at..at + self.rank].copy_from_slice(row);
-            }
-            MirrorData::F32(planes) => {
-                for (dst, &src) in planes[mode][at..at + self.rank].iter_mut().zip(row) {
-                    *dst = src as f32;
-                }
-            }
-        }
+        self.planes[mode][at..at + self.rank].copy_from_slice(row);
     }
 }
 
@@ -188,22 +95,20 @@ mod tests {
     }
 
     #[test]
-    fn stride_is_padded_per_precision() {
-        for (rank, f64_stride, f32_stride) in [(1, 4, 8), (4, 4, 8), (5, 8, 8), (20, 20, 24)] {
-            assert_eq!(padded_stride(rank, Precision::F64), f64_stride, "rank {rank}");
-            assert_eq!(padded_stride(rank, Precision::F32), f32_stride, "rank {rank}");
+    fn stride_is_padded_to_whole_blocks() {
+        for (rank, stride) in [(1, 4), (4, 4), (5, 8), (20, 20)] {
+            assert_eq!(padded_stride(rank), stride, "rank {rank}");
         }
     }
 
     #[test]
     fn f64_mirror_rows_are_bitwise_copies() {
         let f = factors(1, 5);
-        let m = FactorMirror::new(&f, Precision::F64);
+        let m = FactorMirror::new(&f);
         assert_eq!(m.stride(), 8);
         assert_eq!(m.rank(), 5);
         for (mode, fac) in f.iter().enumerate() {
-            let plane = m.f64_plane(mode).unwrap();
-            assert!(m.f32_plane(mode).is_none());
+            let plane = m.plane(mode);
             for i in 0..fac.rows() {
                 let got = &plane[i * m.stride()..i * m.stride() + 5];
                 assert_eq!(got, fac.row(i), "mode {mode} row {i}");
@@ -214,30 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn f32_mirror_recovers_rounded_masters_exactly() {
-        let mut f = factors(2, 6);
-        for fac in &mut f {
-            round_row_f32(fac.as_mut_slice());
-        }
-        let m = FactorMirror::new(&f, Precision::F32);
-        for (mode, fac) in f.iter().enumerate() {
-            let plane = m.f32_plane(mode).unwrap();
-            for i in 0..fac.rows() {
-                for k in 0..6 {
-                    let widened = plane[i * m.stride() + k] as f64;
-                    assert_eq!(widened.to_bits(), fac[(i, k)].to_bits(), "mode {mode} ({i},{k})");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sync_row_updates_one_slot() {
         let f = factors(3, 4);
-        let mut m = FactorMirror::new(&f, Precision::F64);
+        let mut m = FactorMirror::new(&f);
         let new_row = [9.0, -8.0, 7.0, -6.0];
         m.sync_row(1, 2, &new_row);
-        let plane = m.f64_plane(1).unwrap();
+        let plane = m.plane(1);
         assert_eq!(&plane[2 * m.stride()..2 * m.stride() + 4], &new_row);
         // Neighbors untouched.
         assert_eq!(&plane[m.stride()..m.stride() + 4], f[1].row(1));
@@ -246,27 +133,17 @@ mod tests {
     #[test]
     fn resync_follows_shape_changes() {
         let f = factors(4, 4);
-        let mut m = FactorMirror::new(&f, Precision::F64);
+        let mut m = FactorMirror::new(&f);
         let g = factors(5, 7);
         m.resync(&g);
         assert_eq!(m.rank(), 7);
         assert_eq!(m.stride(), 8);
         for (mode, fac) in g.iter().enumerate() {
-            let plane = m.f64_plane(mode).unwrap();
+            let plane = m.plane(mode);
             assert_eq!(plane.len(), fac.rows() * 8);
             for i in 0..fac.rows() {
                 assert_eq!(&plane[i * 8..i * 8 + 7], fac.row(i));
             }
         }
-    }
-
-    #[test]
-    fn round_row_is_idempotent() {
-        let mut row = [1.0 / 3.0, -2.0 / 7.0, 1e-40, 5.5];
-        round_row_f32(&mut row);
-        let once = row;
-        round_row_f32(&mut row);
-        assert_eq!(row, once);
-        assert_eq!(row[3], 5.5); // exactly representable values survive
     }
 }

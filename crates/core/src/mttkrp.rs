@@ -13,9 +13,7 @@
 //!
 //! - [`mttkrp_row`] walks the master row-major factors,
 //! - [`mttkrp_row_interleaved`] walks a padded
-//!   [`FactorMirror`] plane (contiguous,
-//!   block-aligned rows; `f32` mirrors widen to `f64` per element and
-//!   recover the f32-rounded masters exactly),
+//!   [`FactorMirror`] plane (contiguous, block-aligned rows),
 //! - [`mttkrp_row_par`] splits the rank range over scoped worker
 //!   threads — each worker owns a contiguous `k`-range of `out` and
 //!   walks the whole fiber, so per-`k` accumulation order is identical
@@ -74,42 +72,13 @@ fn other_two(skip: usize) -> (usize, usize) {
     }
 }
 
-/// Element type a mirror plane stores. Widening to `f64` is exact for
-/// both widths, so accumulation is always full-precision `f64`.
-pub trait MirrorElem: Copy + Send + Sync {
-    /// Widens to `f64` (exact).
-    fn widen(self) -> f64;
-}
-
-impl MirrorElem for f64 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self
-    }
-}
-
-impl MirrorElem for f32 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self as f64
-    }
-}
-
 /// `out[k] += v0·(a0[k]·b0[k]) + v1·(a1[k]·b1[k])` over explicit
 /// width-4 blocks plus a scalar tail. The per-`k` expression is the
 /// single source of truth for the fused two-entry accumulation: every
-/// kernel variant (row-major, interleaved, parallel, f32) funnels
+/// kernel variant (row-major, interleaved, parallel) funnels
 /// through here, which is what makes them bitwise interchangeable.
 #[inline]
-fn accum_pair<T: MirrorElem>(
-    out: &mut [f64],
-    v0: f64,
-    a0: &[T],
-    b0: &[T],
-    v1: f64,
-    a1: &[T],
-    b1: &[T],
-) {
+fn accum_pair(out: &mut [f64], v0: f64, a0: &[f64], b0: &[f64], v1: f64, a1: &[f64], b1: &[f64]) {
     let n = out.len();
     debug_assert!(a0.len() == n && b0.len() == n && a1.len() == n && b1.len() == n);
     let mut o = out.chunks_exact_mut(4);
@@ -120,10 +89,10 @@ fn accum_pair<T: MirrorElem>(
     for ((((o, x0), y0), x1), y1) in
         (&mut o).zip(&mut a0c).zip(&mut b0c).zip(&mut a1c).zip(&mut b1c)
     {
-        o[0] += v0 * (x0[0].widen() * y0[0].widen()) + v1 * (x1[0].widen() * y1[0].widen());
-        o[1] += v0 * (x0[1].widen() * y0[1].widen()) + v1 * (x1[1].widen() * y1[1].widen());
-        o[2] += v0 * (x0[2].widen() * y0[2].widen()) + v1 * (x1[2].widen() * y1[2].widen());
-        o[3] += v0 * (x0[3].widen() * y0[3].widen()) + v1 * (x1[3].widen() * y1[3].widen());
+        o[0] += v0 * (x0[0] * y0[0]) + v1 * (x1[0] * y1[0]);
+        o[1] += v0 * (x0[1] * y0[1]) + v1 * (x1[1] * y1[1]);
+        o[2] += v0 * (x0[2] * y0[2]) + v1 * (x1[2] * y1[2]);
+        o[3] += v0 * (x0[3] * y0[3]) + v1 * (x1[3] * y1[3]);
     }
     for ((((o, x0), y0), x1), y1) in o
         .into_remainder()
@@ -133,27 +102,27 @@ fn accum_pair<T: MirrorElem>(
         .zip(a1c.remainder())
         .zip(b1c.remainder())
     {
-        *o += v0 * (x0.widen() * y0.widen()) + v1 * (x1.widen() * y1.widen());
+        *o += v0 * (x0 * y0) + v1 * (x1 * y1);
     }
 }
 
 /// `out[k] += v·(a[k]·b[k])` — the odd-entry tail of the pair-blocked
 /// fiber walk, same blocking and grouping as [`accum_pair`].
 #[inline]
-fn accum_single<T: MirrorElem>(out: &mut [f64], v: f64, a: &[T], b: &[T]) {
+fn accum_single(out: &mut [f64], v: f64, a: &[f64], b: &[f64]) {
     let n = out.len();
     debug_assert!(a.len() == n && b.len() == n);
     let mut o = out.chunks_exact_mut(4);
     let mut ac = a.chunks_exact(4);
     let mut bc = b.chunks_exact(4);
     for ((o, x), y) in (&mut o).zip(&mut ac).zip(&mut bc) {
-        o[0] += v * (x[0].widen() * y[0].widen());
-        o[1] += v * (x[1].widen() * y[1].widen());
-        o[2] += v * (x[2].widen() * y[2].widen());
-        o[3] += v * (x[3].widen() * y[3].widen());
+        o[0] += v * (x[0] * y[0]);
+        o[1] += v * (x[1] * y[1]);
+        o[2] += v * (x[2] * y[2]);
+        o[3] += v * (x[3] * y[3]);
     }
     for ((o, x), y) in o.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
-        *o += v * (x.widen() * y.widen());
+        *o += v * (x * y);
     }
 }
 
@@ -162,11 +131,11 @@ fn accum_single<T: MirrorElem>(out: &mut [f64], v: f64, a: &[T], b: &[T]) {
 /// the interleaved serial kernel (`k0 = 0`, full width) and each
 /// parallel worker (its own contiguous sub-range).
 #[allow(clippy::too_many_arguments)]
-fn fiber_accum_planes<T: MirrorElem>(
+fn fiber_accum_planes(
     coords: &[Coord],
     values: &[f64],
-    pa: &[T],
-    pb: &[T],
+    pa: &[f64],
+    pb: &[f64],
     ma: usize,
     mb: usize,
     stride: usize,
@@ -424,10 +393,8 @@ pub fn mttkrp_row(
 }
 
 /// Row MTTKRP over one fiber reading a [`FactorMirror`] instead of the
-/// master factors — contiguous, block-aligned (optionally `f32`) rows.
-/// Bitwise-identical to [`mttkrp_row`] for an `f64` mirror, and to the
-/// master-factor walk for an `f32` mirror of f32-rounded masters
-/// (widening is exact; accumulation is `f64` either way).
+/// master factors — contiguous, block-aligned rows. Bitwise-identical
+/// to [`mttkrp_row`].
 ///
 /// Three-mode tensors only — the callers'
 /// [`FactorState`](crate::update::FactorState) dispatch falls back to
@@ -488,43 +455,17 @@ pub fn mttkrp_row_par(
     }
     let (ma, mb) = other_two(mode);
     let stride = mirror.stride();
-    enum Planes<'a> {
-        F64(&'a [f64], &'a [f64]),
-        F32(&'a [f32], &'a [f32]),
-    }
-    let planes = match (mirror.f64_plane(ma), mirror.f32_plane(ma)) {
-        (Some(pa), _) => Planes::F64(pa, mirror.f64_plane(mb).expect("planes share precision")),
-        (_, Some(pa)) => Planes::F32(pa, mirror.f32_plane(mb).expect("planes share precision")),
-        _ => unreachable!("a mirror plane is either f64 or f32"),
-    };
+    let (pa, pb) = (mirror.plane(ma), mirror.plane(mb));
     let workers = threads.max(1).min(out.len());
     if workers == 1 {
-        match planes {
-            Planes::F64(pa, pb) => {
-                fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, 0, out)
-            }
-            Planes::F32(pa, pb) => {
-                fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, 0, out)
-            }
-        }
+        fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, 0, out);
         return Ok(());
     }
     let chunk = out.len().div_ceil(workers);
     std::thread::scope(|s| {
         for (ci, piece) in out.chunks_mut(chunk).enumerate() {
             let k0 = ci * chunk;
-            match planes {
-                Planes::F64(pa, pb) => {
-                    s.spawn(move || {
-                        fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, k0, piece)
-                    });
-                }
-                Planes::F32(pa, pb) => {
-                    s.spawn(move || {
-                        fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, k0, piece)
-                    });
-                }
-            }
+            s.spawn(move || fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, k0, piece));
         }
     });
     Ok(())
@@ -681,7 +622,6 @@ pub fn inner_with_kruskal(x: &SparseTensor, k: &KruskalTensor) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Precision;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sns_tensor::{DenseTensor, Shape};
@@ -805,7 +745,7 @@ mod tests {
         let dims = [6usize, 5, 7];
         let x = random_sparse(&mut rng, &dims, 60);
         let f = random_factors(&mut rng, &dims, 5);
-        let mirror = FactorMirror::new(&f, Precision::F64);
+        let mirror = FactorMirror::new(&f);
         let mut a = vec![0.0; 5];
         let mut b = vec![0.0; 5];
         let mut scratch = vec![0.0; 5];
@@ -826,7 +766,7 @@ mod tests {
         let dims = [5usize, 4, 6];
         let x = random_sparse(&mut rng, &dims, 80);
         let f = random_factors(&mut rng, &dims, 11);
-        let mirror = FactorMirror::new(&f, Precision::F64);
+        let mirror = FactorMirror::new(&f);
         let mut serial = vec![0.0; 11];
         let mut par = vec![0.0; 11];
         for threads in [2, 3, 4, 7, 11, 16] {
@@ -862,7 +802,7 @@ mod tests {
             mttkrp_row(&x, &f, 0, 0, &mut ok, &mut short),
             Err(SnsError::KernelShape { what: "mttkrp_row(scratch)", .. })
         ));
-        let mirror = FactorMirror::new(&f, Precision::F64);
+        let mirror = FactorMirror::new(&f);
         assert!(matches!(
             mttkrp_row_interleaved(&x, &mirror, 0, 0, &mut short),
             Err(SnsError::KernelShape { .. })
@@ -996,7 +936,7 @@ mod tests {
         let u = mttkrp_full(&x, &f, 0);
         assert_eq!(u.frob_norm(), 0.0);
         // Empty fibers also zero the row kernels.
-        let mirror = FactorMirror::new(&f, Precision::F64);
+        let mirror = FactorMirror::new(&f);
         let mut out = vec![9.0; 2];
         mttkrp_row_interleaved(&x, &mirror, 0, 1, &mut out).unwrap();
         assert_eq!(out, vec![0.0; 2]);

@@ -363,6 +363,37 @@ struct StreamSlot {
 }
 
 impl StreamSlot {
+    /// A fresh slot for a stream just opened (`wal_seq` 0) or restored.
+    /// A failed engine build leaves no engine and records the error.
+    fn new(
+        token: u64,
+        spec: EngineSpec,
+        seed: u64,
+        engine: Result<Box<dyn StreamingCpd>, SnsError>,
+        wal_seq: u64,
+        metrics: Arc<StreamMetrics>,
+        replies: Sender<SessionReply>,
+    ) -> Self {
+        let (name, engine, error) = match engine {
+            Ok(engine) => (engine.name(), Some(engine), None),
+            Err(e) => (String::new(), None, Some(e)),
+        };
+        StreamSlot {
+            name,
+            token,
+            spec,
+            seed,
+            engine,
+            error,
+            quarantined: false,
+            last_flagged: 0,
+            wal_seq,
+            rollback: RollbackLog::default(),
+            metrics,
+            replies,
+        }
+    }
+
     /// Runs an engine command with panic isolation: an engine that
     /// returns `Err` records the (first) error and passes it through; an
     /// engine that *panics* is quarantined (dropped) and the panic
@@ -827,6 +858,34 @@ impl ShardCtx {
         }
     }
 
+    /// Installs the slot of a stream opened or restored on this shard:
+    /// records the shard in the stream's metrics, acks the open ticket
+    /// (with the build error, if any), replaces any previous slot
+    /// (publishing [`EvictReason::Replaced`]), then publishes `event`.
+    fn install_slot(
+        &self,
+        slots: &mut HashMap<u64, StreamSlot>,
+        id: u64,
+        ticket: u64,
+        slot: StreamSlot,
+        event: Option<PoolEvent>,
+    ) {
+        slot.metrics.shard.store(self.shard, Ordering::Relaxed);
+        let outcome = match &slot.error {
+            Some(e) => Err(e.clone()),
+            None => Ok(BatchOutcome { accepted: 0, updates: 0 }),
+        };
+        slot.acknowledge(id, ticket, outcome);
+        if slots.insert(id, slot).is_some() {
+            self.publish_evicted(id, EvictReason::Replaced);
+        }
+        if let Some(event) = event {
+            if self.ops.bus().has_subscribers() {
+                self.ops.bus().publish(event);
+            }
+        }
+    }
+
     fn publish_evicted(&self, id: u64, reason: EvictReason) {
         if self.ops.bus().has_subscribers() {
             self.ops.bus().publish(PoolEvent::StreamEvicted {
@@ -866,77 +925,34 @@ fn worker_loop(ctx: ShardCtx, rx: Receiver<Command>) {
         match cmd {
             Command::Open { id, token, ticket, seed, spec, replies } => {
                 let effective = spec.effective_seed(seed);
-                let (engine, name, outcome) =
-                    match catch_unwind(AssertUnwindSafe(|| spec.build(seed))) {
-                        Ok(engine) => {
-                            let name = engine.name();
-                            (Some(engine), name, Ok(BatchOutcome { accepted: 0, updates: 0 }))
-                        }
-                        Err(payload) => {
-                            let e = SnsError::EngineBuildFailed {
-                                stream_id: id,
-                                message: panic_message(payload),
-                            };
-                            (None, String::new(), Err(e))
-                        }
-                    };
+                let engine = catch_unwind(AssertUnwindSafe(|| spec.build(seed))).map_err(|p| {
+                    SnsError::EngineBuildFailed { stream_id: id, message: panic_message(p) }
+                });
                 let metrics = ops.metrics().stream(id);
-                metrics.shard.store(shard, Ordering::Relaxed);
-                let opened = engine.is_some();
-                let engine_name = name.clone();
-                let slot = StreamSlot {
-                    name,
-                    token,
-                    spec,
-                    seed: effective,
-                    engine,
-                    error: outcome.as_ref().err().cloned(),
-                    quarantined: false,
-                    last_flagged: 0,
-                    wal_seq: 0,
-                    rollback: RollbackLog::default(),
-                    metrics,
-                    replies,
-                };
-                slot.acknowledge(id, ticket, outcome);
-                if slots.insert(id, slot).is_some() {
-                    ctx.publish_evicted(id, EvictReason::Replaced);
-                }
-                if opened && ops.bus().has_subscribers() {
-                    ops.bus().publish(PoolEvent::StreamOpened {
-                        stream_id: id,
-                        shard,
-                        engine: engine_name,
-                    });
-                }
+                let slot = StreamSlot::new(token, spec, effective, engine, 0, metrics, replies);
+                let event = slot.engine.is_some().then(|| PoolEvent::StreamOpened {
+                    stream_id: id,
+                    shard,
+                    engine: slot.name.clone(),
+                });
+                ctx.install_slot(&mut slots, id, ticket, slot, event);
             }
             Command::Restore { id, token, ticket, snapshot, replies } => {
                 let EngineSnapshot { spec, seed, state, wal_seq, .. } = *snapshot;
                 match state.into_engine() {
                     Ok(engine) => {
                         let metrics = ops.metrics().stream(id);
-                        metrics.shard.store(shard, Ordering::Relaxed);
-                        let slot = StreamSlot {
-                            name: engine.name(),
+                        let slot = StreamSlot::new(
                             token,
                             spec,
                             seed,
-                            engine: Some(engine),
-                            error: None,
-                            quarantined: false,
-                            last_flagged: 0,
+                            Ok(engine),
                             wal_seq,
-                            rollback: RollbackLog::default(),
                             metrics,
                             replies,
-                        };
-                        slot.acknowledge(id, ticket, Ok(BatchOutcome { accepted: 0, updates: 0 }));
-                        if slots.insert(id, slot).is_some() {
-                            ctx.publish_evicted(id, EvictReason::Replaced);
-                        }
-                        if ops.bus().has_subscribers() {
-                            ops.bus().publish(PoolEvent::StreamMigrated { stream_id: id, shard });
-                        }
+                        );
+                        let event = PoolEvent::StreamMigrated { stream_id: id, shard };
+                        ctx.install_slot(&mut slots, id, ticket, slot, Some(event));
                     }
                     Err(e) => {
                         // An inconsistent snapshot installs nothing; the

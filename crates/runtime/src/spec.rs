@@ -13,7 +13,7 @@ use crate::anomaly::{AnomalyConfig, AnomalyCpd};
 use crate::chaos::{ChaosConfig, ChaosCpd};
 use crate::streaming::StreamingCpd;
 use sns_baselines::{AlsPeriodic, BaselineEngine, CpStream, NeCpd, OnlineScp, PeriodicCpd};
-use sns_core::config::{AlgorithmKind, Precision, SnsConfig};
+use sns_core::config::{AlgorithmKind, SnsConfig};
 use sns_core::engine::SnsEngine;
 
 /// Which conventional once-per-period baseline to run behind a
@@ -64,8 +64,6 @@ pub enum EngineSpec {
         eta: f64,
         /// Scale of the random factor initialization.
         init_scale: f64,
-        /// Factor-storage precision profile.
-        precision: Precision,
         /// Fixed seed; `None` lets the runtime supply one (the pool's
         /// deterministic per-stream seed).
         seed: Option<u64>,
@@ -126,7 +124,6 @@ impl EngineSpec {
             theta: config.theta,
             eta: config.eta,
             init_scale: config.init_scale,
-            precision: config.precision,
             seed: None,
         }
     }
@@ -211,7 +208,6 @@ impl EngineSpec {
                 theta,
                 eta,
                 init_scale,
-                precision,
                 ..
             } => {
                 let config = SnsConfig {
@@ -220,7 +216,6 @@ impl EngineSpec {
                     eta: *eta,
                     init_scale: *init_scale,
                     seed,
-                    precision: *precision,
                 };
                 Box::new(SnsEngine::new(base_dims, *window, *period, *kind, &config))
             }

@@ -221,14 +221,8 @@ mod engine_parity {
         kind: AlgorithmKind,
         cfg: &RunConfig,
     ) -> Reference {
-        let sns_config = SnsConfig {
-            rank: p.rank,
-            theta: p.theta,
-            eta: p.eta,
-            init_scale: 1.0,
-            seed: cfg.seed,
-            ..Default::default()
-        };
+        let sns_config =
+            SnsConfig { rank: p.rank, theta: p.theta, eta: p.eta, init_scale: 1.0, seed: cfg.seed };
         let mut engine = SnsEngine::new(&p.base_dims, p.window, p.period, kind, &sns_config);
         let (prefill, measured) = split_prefill(p, stream);
         for tu in prefill {
