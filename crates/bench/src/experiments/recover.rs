@@ -124,6 +124,9 @@ pub struct RecoverReport {
     pub replay_bound: u64,
     /// Checkpoint generations the background daemon committed.
     pub daemon_commits: u64,
+    /// Wall time of the recovery call (`recover_pool` or
+    /// `recover_pool_wal`), in milliseconds. Reported, never gated.
+    pub recover_ms: f64,
 }
 
 impl RecoverReport {
@@ -153,6 +156,7 @@ impl RecoverReport {
             ]);
         }
         let mut out = t.render();
+        out.push_str(&format!("recovery: {:.1} ms\n", self.recover_ms));
         if self.wal {
             out.push_str(&format!(
                 "wal replay: {} of {} journaled units ({} daemon commits) — {}\n",
@@ -186,6 +190,7 @@ impl RecoverReport {
             if self.wal { "wal" } else { "checkpoint" },
         ));
         out.push_str(&format!("  \"all_identical\": {},\n", self.all_identical()));
+        out.push_str(&format!("  \"recover_ms\": {},\n", jf(self.recover_ms)));
         if self.wal {
             out.push_str(&format!(
                 "  \"wal\": {{\"replayed\": {}, \"replay_bound\": {}, \"daemon_commits\": {}, \"replay_bounded\": {}}},\n",
@@ -331,8 +336,10 @@ pub fn run_recover(cfg: &RecoverConfig) -> Result<RecoverReport, SnsError> {
 
         // Phase 3: recover from disk into a brand-new pool.
         let recovered_pool = EnginePool::new(pool_config(None));
+        let start = Instant::now();
         let recovered = recover_pool(&recovered_pool, &store)?;
-        (recovered_pool, recovered, WalPhaseStats::default())
+        let recover_ms = start.elapsed().as_secs_f64() * 1e3;
+        (recovered_pool, recovered, WalPhaseStats { recover_ms, ..WalPhaseStats::default() })
     };
     drive_fleet(&mut recovered, &trace[crash_at..], &tail_plan)?;
 
@@ -370,15 +377,18 @@ pub fn run_recover(cfg: &RecoverConfig) -> Result<RecoverReport, SnsError> {
         replayed: wal_stats.replayed,
         replay_bound: wal_stats.replay_bound,
         daemon_commits: wal_stats.daemon_commits,
+        recover_ms: wal_stats.recover_ms,
     })
 }
 
-/// What the WAL phase measured (zeros in checkpoint-only mode).
+/// What the recovery phase measured (the WAL counters are zeros in
+/// checkpoint-only mode).
 #[derive(Debug, Default, Clone, Copy)]
 struct WalPhaseStats {
     replayed: u64,
     replay_bound: u64,
     daemon_commits: u64,
+    recover_ms: f64,
 }
 
 /// The WAL-mode interrupted run: journal everything, let the background
@@ -452,7 +462,9 @@ fn recover_via_wal(
     // Recovery: newest checkpoints + the bounded WAL tail, onto a fresh
     // pool that keeps journaling (the tail drive stays covered).
     let recovered_pool = EnginePool::new(pool_config(Some(Arc::clone(&wal) as _)));
+    let start = Instant::now();
     let (recovered, replayed) = recover_pool_wal(&recovered_pool, store, &wal)?;
+    let recover_ms = start.elapsed().as_secs_f64() * 1e3;
     if let Some(e) = wal.error() {
         return Err(e);
     }
@@ -461,13 +473,31 @@ fn recover_via_wal(
     Ok((
         recovered_pool,
         recovered,
-        WalPhaseStats { replayed, replay_bound, daemon_commits: daemon_stats.commits },
+        WalPhaseStats { replayed, replay_bound, daemon_commits: daemon_stats.commits, recover_ms },
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn report_carries_the_recovery_wall_time() {
+        let report = RecoverReport {
+            dataset: "d".to_string(),
+            events: 10,
+            crash_at: 5,
+            cells: Vec::new(),
+            manifest: PathBuf::from("m"),
+            wal: false,
+            replayed: 0,
+            replay_bound: 0,
+            daemon_commits: 0,
+            recover_ms: 12.5,
+        };
+        assert!(report.to_json().contains("\"recover_ms\": 12.500000,"), "{}", report.to_json());
+        assert!(report.render().contains("recovery: 12.5 ms"));
+    }
 
     #[test]
     fn kill_recover_finish_is_bitwise_identical() {
@@ -494,6 +524,7 @@ mod tests {
         assert!(json.contains("\"bench\": \"sns-recover\""));
         assert!(json.contains("\"all_identical\": true"));
         assert!(json.contains("\"mode\": \"checkpoint\""));
+        assert!(report.recover_ms > 0.0, "the recovery call must be timed");
         assert!(report.render().contains("identical"));
         let _ = std::fs::remove_dir_all(&dir);
     }

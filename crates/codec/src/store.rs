@@ -472,9 +472,10 @@ pub fn checkpoint_pool(
 }
 
 /// Pool-wide recovery: rebuild every checkpointed stream from `store`
-/// onto `pool`, returning the live sessions in stream-id order. Each
-/// restored engine continues **bitwise-identically** from its
-/// checkpoint. For checkpoint+WAL deployments use
+/// onto `pool` (shards in parallel, via [`EnginePool::recover_all`]),
+/// returning the live sessions in stream-id order. Each restored
+/// engine continues **bitwise-identically** from its checkpoint. For
+/// checkpoint+WAL deployments use
 /// [`recover_pool_wal`](crate::wal::recover_pool_wal), which also
 /// replays the journal tail.
 ///
@@ -484,7 +485,7 @@ pub fn recover_pool(
     pool: &EnginePool,
     store: &CheckpointStore,
 ) -> Result<Vec<StreamSession>, SnsError> {
-    pool.recover_all(store.load()?)
+    pool.recover_all(store.load()?, |_, _| Ok(0)).map(|(sessions, _)| sessions)
 }
 
 #[cfg(test)]

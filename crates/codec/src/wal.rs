@@ -559,6 +559,10 @@ impl BatchJournal for WalSet {
 /// bitwise-identical to one that never crashed, and the replay cost is
 /// bounded by the journal written since the last checkpoint.
 ///
+/// Recovery runs through [`EnginePool::recover_all`], so every shard
+/// restores, reads and replays its own streams in parallel: wall time
+/// is about the slowest shard's tail, not the sum over streams.
+///
 /// Tuple-batch replay outcomes are not propagated: a journaled batch
 /// reproduces its original result, including a typed error that was
 /// already acknowledged in the first life. Clock/warm-start replays
@@ -570,21 +574,17 @@ impl BatchJournal for WalSet {
 /// journal again and are idempotently skipped by sequence number.
 ///
 /// # Errors
-/// Store/codec/WAL read errors, the first snapshot the pool cannot
-/// restore, or a diverging clock/warm-start replay.
+/// Store/codec/WAL read errors, or the first stream (in stream-id
+/// order) whose snapshot the pool cannot restore or whose clock or
+/// warm-start replay diverges.
 pub fn recover_pool_wal(
     pool: &EnginePool,
     store: &CheckpointStore,
     wal: &WalSet,
 ) -> Result<(Vec<StreamSession>, u64), SnsError> {
-    let mut sessions = Vec::new();
-    let mut replayed = 0u64;
-    for snapshot in store.load()? {
-        let stream_id = snapshot.stream_id;
-        let after_seq = snapshot.wal_seq;
-        let shard = pool.shard_of(stream_id);
-        let mut session = pool.restore(snapshot, shard)?;
-        for record in wal.read_tail(stream_id, after_seq)? {
+    pool.recover_all(store.load()?, |session, after_seq| {
+        let mut replayed = 0u64;
+        for record in wal.read_tail(session.stream_id(), after_seq)? {
             replayed += record.op.units();
             match record.op {
                 WalOp::Prefill(tuples) => {
@@ -601,9 +601,8 @@ pub fn recover_pool_wal(
                 }
             }
         }
-        sessions.push(session);
-    }
-    Ok((sessions, replayed))
+        Ok(replayed)
+    })
 }
 
 #[cfg(test)]
@@ -806,6 +805,133 @@ mod tests {
             reference,
             "recovered stream diverged from the uninterrupted run"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Applies `ops` to `session` in order; returns how many the pool
+    /// rejected with a typed error.
+    fn run(session: &mut StreamSession, ops: &[WalOp]) -> usize {
+        let mut rejected = 0;
+        for op in ops {
+            let ok = match op {
+                WalOp::Prefill(t) => session.prefill_batch(t).is_ok(),
+                WalOp::Ingest(t) => session.ingest_batch(t).is_ok(),
+                WalOp::AdvanceTo(t) => session.advance_to(*t).is_ok(),
+                WalOp::WarmStart(opts) => session.warm_start(opts).is_ok(),
+            };
+            rejected += usize::from(!ok);
+        }
+        rejected
+    }
+
+    fn stream_tuples(id: u64, times: std::ops::Range<u64>) -> Vec<StreamTuple> {
+        times
+            .map(|t| StreamTuple::new([((t + id) % 4) as u32, ((t * 3 + id) % 3) as u32], 1.0, t))
+            .collect()
+    }
+
+    /// Per stream: the ops before the checkpoint, the journal tail
+    /// (every op kind, plus one ingest batch whose middle tuple is out
+    /// of bounds: the engine applies the prefix and acks a typed
+    /// error), and the ops after recovery.
+    fn script(id: u64) -> [Vec<WalOp>; 3] {
+        let mut rejected = stream_tuples(id, 30..33);
+        rejected[1] = StreamTuple::new([9u32, 0], 1.0, 31);
+        [
+            vec![WalOp::Prefill(stream_tuples(id, 0..4))],
+            vec![
+                WalOp::Prefill(stream_tuples(id, 4..10)),
+                WalOp::WarmStart(AlsOptions { max_iters: 3, tol: 1e-3, seed: id, init_scale: 1.0 }),
+                WalOp::Ingest(stream_tuples(id, 10..30)),
+                WalOp::Ingest(rejected),
+                WalOp::AdvanceTo(40),
+                WalOp::Ingest(stream_tuples(id, 40..50)),
+            ],
+            vec![WalOp::Ingest(stream_tuples(id, 50..80))],
+        ]
+    }
+
+    #[test]
+    fn multi_shard_mixed_op_wal_recovery_is_bitwise_identical() {
+        let dir = temp_dir("multishard");
+        let wal = Arc::new(WalSet::create(dir.join("wal")).unwrap());
+        let store = CheckpointStore::create(dir.join("ckpt")).unwrap();
+        let kinds = [
+            AlgorithmKind::Vec,
+            AlgorithmKind::Rnd,
+            AlgorithmKind::PlusVec,
+            AlgorithmKind::PlusRnd,
+        ];
+        let spec = |id: u64| {
+            let config = SnsConfig { rank: 2, theta: 2, ..Default::default() };
+            EngineSpec::sns(&[4, 3], 3, 10, kinds[id as usize % kinds.len()], &config)
+        };
+        let pool_with = |journal: Arc<WalSet>| {
+            EnginePool::new(PoolConfig {
+                shards: 3,
+                base_seed: 11,
+                journal: Some(journal as _),
+                ..Default::default()
+            })
+        };
+        // Ids listed out of order on purpose: recovery must still hand
+        // the sessions back in stream-id order.
+        let ids = [8u64, 3, 1, 6, 2, 7, 5, 4];
+
+        // Reference: an uninterrupted journaled run of the whole script.
+        let mut reference = BTreeMap::new();
+        {
+            let pool = pool_with(Arc::new(WalSet::create(dir.join("ref-wal")).unwrap()));
+            let covered: std::collections::BTreeSet<usize> =
+                ids.iter().map(|&id| pool.shard_of(id)).collect();
+            assert_eq!(covered.len(), 3, "the fleet must cover every shard");
+            for &id in &ids {
+                let mut s = pool.open(id, spec(id)).unwrap();
+                assert_eq!(run(&mut s, &script(id).concat()), 1, "one rejected batch");
+                reference.insert(id, crate::to_bytes(&s.snapshot().unwrap()));
+            }
+        }
+
+        // Doomed run: checkpoint after the first phase, journal the
+        // tail, crash.
+        let mut tail_units = 0u64;
+        {
+            let pool = pool_with(Arc::clone(&wal));
+            let mut sessions: Vec<_> =
+                ids.iter().map(|&id| pool.open(id, spec(id)).unwrap()).collect();
+            for (s, &id) in sessions.iter_mut().zip(&ids) {
+                assert_eq!(run(s, &script(id)[0]), 0);
+            }
+            let snapshots: Vec<_> =
+                pool.checkpoint_all().into_iter().map(|(_, r)| r.unwrap()).collect();
+            let (gen, _) = store.save_incremental(&snapshots).unwrap();
+            for snapshot in &snapshots {
+                wal.rotate(snapshot.stream_id, gen, snapshot.wal_seq).unwrap();
+            }
+            for (s, &id) in sessions.iter_mut().zip(&ids) {
+                let tail = &script(id)[1];
+                assert_eq!(run(s, tail), 1, "the tail holds the rejected batch");
+                tail_units += tail.iter().map(WalOp::units).sum::<u64>();
+            }
+            drop(sessions);
+            pool.join(); // crash: the tails exist only in the WAL
+        }
+
+        let pool = pool_with(Arc::clone(&wal));
+        let (mut sessions, replayed) = recover_pool_wal(&pool, &store, &wal).unwrap();
+        assert_eq!(replayed, tail_units, "exactly the journaled tails since the checkpoint");
+        assert_eq!(wal.error().map(|e| e.to_string()), None);
+        let order: Vec<u64> = sessions.iter().map(StreamSession::stream_id).collect();
+        assert_eq!(order, reference.keys().copied().collect::<Vec<_>>(), "stream-id order");
+        for s in &mut sessions {
+            let id = s.stream_id();
+            assert_eq!(run(s, &script(id)[2]), 0);
+            assert_eq!(
+                crate::to_bytes(&s.snapshot().unwrap()),
+                reference[&id],
+                "stream {id} diverged from the uninterrupted run"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -60,7 +60,7 @@ use sns_ops::{EvictReason, PoolEvent, QuarantinedOp, StreamMetrics};
 use sns_stream::{SnsError, StreamTuple};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::mpsc::{TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -134,6 +134,9 @@ pub fn stream_seed(base_seed: u64, stream_id: u64) -> u64 {
 /// What a pool-level checkpoint yields: per stream id, either its
 /// captured snapshot or the typed error that stream produced instead.
 pub type CheckpointResults = Vec<(u64, Result<EngineSnapshot, SnsError>)>;
+
+/// One stream's recovery result, keyed by its snapshot index.
+type RecoverOutcome = (usize, Result<(StreamSession, u64), SnsError>);
 
 /// Acknowledgment for one session command: what the engine actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1354,27 +1357,125 @@ impl EnginePool {
         Ok(out)
     }
 
-    /// Rebuilds every snapshotted stream on this pool, each on its
-    /// stream id's home shard, and returns the live sessions in snapshot
-    /// order. Restored engines continue bitwise-identically — this is
-    /// the recovery half of [`EnginePool::checkpoint_all`], used after a
-    /// crash (typically with snapshots loaded from a
-    /// `CheckpointStore`).
+    /// The single crash-recovery driver: rebuilds every snapshotted
+    /// stream on this pool, each on its stream id's home shard, and runs
+    /// `replay(session, wal_seq)` right after each restore (`wal_seq` is
+    /// the snapshot's [`EngineSnapshot::wal_seq`]; `replay` returns the
+    /// units it re-drove). Restored engines continue
+    /// bitwise-identically — this is the recovery half of
+    /// [`EnginePool::checkpoint_all`], used after a crash (typically
+    /// with snapshots loaded from a `CheckpointStore`, plus a journal
+    /// tail replay in `replay`).
+    ///
+    /// Shards recover in parallel: one scoped thread per shard that owns
+    /// at least one snapshot restores and replays that shard's streams
+    /// in snapshot order, so recovery wall time is about the slowest
+    /// shard's work rather than the sum over streams. Each stream's
+    /// commands still flow in order through its own shard, and streams
+    /// are independent, so the result is the same as a serial recovery.
+    ///
+    /// Returns the live sessions in snapshot order plus the summed
+    /// replay units.
     ///
     /// # Errors
-    /// Fails on the first snapshot that cannot be restored; streams
-    /// restored before the failure stay installed.
+    /// The first failure in snapshot order: a snapshot the pool cannot
+    /// restore, an error from `replay`, [`SnsError::Io`] if the OS
+    /// refuses a recovery thread, or [`SnsError::Internal`] if one
+    /// panicked. Once a stream fails, the other shards stop before their
+    /// next later stream; every earlier stream still runs, so the
+    /// reported error does not depend on thread timing. No session is
+    /// returned on error: the sessions already recovered are dropped,
+    /// which closes their streams again.
     pub fn recover_all(
         &self,
         snapshots: Vec<EngineSnapshot>,
-    ) -> Result<Vec<StreamSession>, SnsError> {
-        snapshots
-            .into_iter()
-            .map(|snapshot| {
-                let shard = self.shard_of(snapshot.stream_id);
-                self.restore(snapshot, shard)
-            })
-            .collect()
+        replay: impl Fn(&mut StreamSession, u64) -> Result<u64, SnsError> + Sync,
+    ) -> Result<(Vec<StreamSession>, u64), SnsError> {
+        let mut by_shard: Vec<Vec<(usize, EngineSnapshot)>> =
+            (0..self.shards()).map(|_| Vec::new()).collect();
+        for (index, snapshot) in snapshots.into_iter().enumerate() {
+            by_shard[self.shard_of(snapshot.stream_id)].push((index, snapshot));
+        }
+        // Lowest snapshot index that failed so far. A shard stops only
+        // before streams *after* it, so the minimum failing index is
+        // always reached and reported, whatever the thread timing.
+        let first_failure = AtomicUsize::new(usize::MAX);
+        let replay = &replay;
+        let mut outcomes: Vec<RecoverOutcome> = std::thread::scope(|scope| {
+            let mut outcomes = Vec::new();
+            let mut handles = Vec::new();
+            for (shard, work) in by_shard.into_iter().enumerate() {
+                let Some(&(first, _)) = work.first() else { continue };
+                let failure = &first_failure;
+                let spawned = std::thread::Builder::new()
+                    .name(format!("sns-recover-{shard}"))
+                    .spawn_scoped(scope, move || self.recover_shard(shard, work, replay, failure));
+                match spawned {
+                    Ok(handle) => handles.push((shard, first, handle)),
+                    Err(e) => {
+                        first_failure.fetch_min(first, Ordering::SeqCst);
+                        outcomes.push((
+                            first,
+                            Err(SnsError::Io {
+                                path: format!("sns-recover-{shard}"),
+                                message: format!("cannot spawn recovery thread: {e}"),
+                            }),
+                        ));
+                    }
+                }
+            }
+            for (shard, first, handle) in handles {
+                match handle.join() {
+                    Ok(mut done) => outcomes.append(&mut done),
+                    Err(_) => outcomes.push((
+                        first,
+                        Err(SnsError::Internal {
+                            detail: format!("recovery thread of shard {shard} panicked"),
+                        }),
+                    )),
+                }
+            }
+            outcomes
+        });
+        outcomes.sort_by_key(|&(index, _)| index);
+        let mut sessions = Vec::with_capacity(outcomes.len());
+        let mut replayed = 0u64;
+        for (_, outcome) in outcomes {
+            let (session, units) = outcome?;
+            sessions.push(session);
+            replayed += units;
+        }
+        Ok((sessions, replayed))
+    }
+
+    /// One shard's half of [`EnginePool::recover_all`]: restore, then
+    /// replay, each stream in snapshot order; stops before any stream
+    /// later than the first failure seen on any shard.
+    fn recover_shard(
+        &self,
+        shard: usize,
+        work: Vec<(usize, EngineSnapshot)>,
+        replay: &(impl Fn(&mut StreamSession, u64) -> Result<u64, SnsError> + Sync),
+        first_failure: &AtomicUsize,
+    ) -> Vec<RecoverOutcome> {
+        let mut out = Vec::with_capacity(work.len());
+        for (index, snapshot) in work {
+            if index > first_failure.load(Ordering::SeqCst) {
+                break;
+            }
+            let wal_seq = snapshot.wal_seq;
+            let outcome = self.restore(snapshot, shard).and_then(|mut session| {
+                let units = replay(&mut session, wal_seq)?;
+                Ok((session, units))
+            });
+            let failed = outcome.is_err();
+            out.push((index, outcome));
+            if failed {
+                first_failure.fetch_min(index, Ordering::SeqCst);
+                break;
+            }
+        }
+        out
     }
 
     /// Shuts the workers down and waits for them to finish. Sessions
@@ -2102,7 +2203,7 @@ mod tests {
         first.join(); // the crash
 
         let recovered_pool = make_pool();
-        let mut recovered = recovered_pool.recover_all(snapshots).unwrap();
+        let (mut recovered, _) = recovered_pool.recover_all(snapshots, |_, _| Ok(0)).unwrap();
         for (session, &id) in recovered.iter_mut().zip(&ids) {
             assert_eq!(session.stream_id(), id);
             let _ = session.ingest_batch(&tuples_for(id)[60..]).unwrap();
@@ -2112,6 +2213,47 @@ mod tests {
             assert_eq!(r.error, None);
             assert_eq!(r.fitness.to_bits(), *fitness, "stream {}", r.stream_id);
             assert_eq!(r.updates_applied, *updates, "stream {}", r.stream_id);
+        }
+    }
+
+    #[test]
+    fn recover_all_reports_the_first_failure_in_snapshot_order() {
+        let shards = 2;
+        let pool = EnginePool::new(PoolConfig { shards, base_seed: 3, ..Default::default() });
+        let on = |shard: usize, n: usize| -> Vec<u64> {
+            (0u64..).filter(|&id| pool.shard_of(id) == shard).take(n).collect()
+        };
+        let (a, b) = (on(0, 2), on(1, 1));
+        let mut sessions: Vec<StreamSession> =
+            a.iter().chain(&b).map(|&id| pool.open(id, spec()).unwrap()).collect();
+        for s in &mut sessions {
+            let _ = s.ingest_batch(&tuples_for(s.stream_id())[..30]).unwrap();
+        }
+        let mut snapshots: HashMap<u64, EngineSnapshot> =
+            pool.checkpoint_all().into_iter().map(|(id, r)| (id, r.unwrap())).collect();
+        let mut corrupt = |id: u64, f: fn(&mut sns_stream::ContinuousWindowState)| {
+            let Some(EngineState::Sns(state)) = snapshots.get_mut(&id).map(|s| &mut s.state) else {
+                panic!("stream {id} is not an SNS engine");
+            };
+            f(&mut state.window);
+        };
+        corrupt(a[1], |w| w.period = 0);
+        corrupt(b[0], |w| w.window = 0);
+        let validation_error = |id: u64| snapshots[&id].state.clone().into_engine().err().unwrap();
+        let (first, second) = (validation_error(a[1]), validation_error(b[0]));
+        assert_ne!(first, second);
+        // Shard 1 fails on its first stream at once, while shard 0 is
+        // still restoring a valid stream ahead of its own failure; the
+        // error must still be shard 0's, which comes first in order.
+        let order: Vec<EngineSnapshot> = [a[0], a[1], b[0]].map(|id| snapshots[&id].clone()).into();
+        for round in 0..20 {
+            let fresh = EnginePool::new(PoolConfig { shards, base_seed: 3, ..Default::default() });
+            match fresh.recover_all(order.clone(), |_, _| Ok(0)) {
+                Ok((sessions, _)) => {
+                    panic!("round {round}: {} sessions, expected Err", sessions.len())
+                }
+                Err(e) => assert_eq!(e, first, "round {round}"),
+            }
         }
     }
 
