@@ -41,9 +41,10 @@
 //! DELTA ("delta", decodable only next to its base via
 //! [`from_bytes_with_base`]). Version 1 — identical except that META
 //! has no `wal_seq` and DELTA does not exist — is still read by
-//! [`from_bytes`] (`wal_seq` decodes as 0) and written by
-//! [`to_bytes_v1`] for fixtures and downgrade paths. The normative
-//! byte-level specification lives in `docs/DURABILITY.md`.
+//! [`from_bytes`] (`wal_seq` decodes as 0). Nothing writes v1 any more
+//! outside this crate's tests, which keep a legacy writer to pin the
+//! immutable v1 golden fixture. The normative byte-level specification
+//! lives in `docs/DURABILITY.md`.
 //!
 //! Section lengths let a reader skip or validate sections without
 //! understanding their contents; unknown *trailing* sections are
@@ -124,41 +125,6 @@ pub fn to_bytes(snapshot: &EngineSnapshot) -> Vec<u8> {
     let checksum = fnv1a(w.as_slice());
     w.u64(checksum);
     w.into_bytes()
-}
-
-/// Serializes a snapshot to the **legacy v1** format (no `wal_seq`, no
-/// delta support) — for fixtures and for handing state to a v1-only
-/// reader.
-///
-/// # Errors
-/// [`SnsError::Codec`] (`Invalid`) if `snapshot.wal_seq != 0`: v1 has
-/// no field for it, and silently dropping a live WAL cursor would break
-/// the recovery contract.
-pub fn to_bytes_v1(snapshot: &EngineSnapshot) -> Result<Vec<u8>, SnsError> {
-    if snapshot.wal_seq != 0 {
-        return Err(SnsError::Codec {
-            fault: CodecFault::Invalid,
-            offset: 0,
-            detail: format!(
-                "wal_seq {} is not representable in schema v1; checkpoint+WAL streams \
-                 must stay on v2",
-                snapshot.wal_seq
-            ),
-        });
-    }
-    let mut w = Writer::new();
-    w.bytes(&MAGIC);
-    w.u16(1);
-    w.u8(3);
-    put_section(&mut w, SECTION_META, |w| {
-        w.u64(snapshot.stream_id);
-        w.u64(snapshot.seed);
-    });
-    put_section(&mut w, SECTION_SPEC, |w| wire::put_spec(w, &snapshot.spec));
-    put_section(&mut w, SECTION_STATE, |w| wire::put_engine_state(w, &snapshot.state));
-    let checksum = fnv1a(w.as_slice());
-    w.u64(checksum);
-    Ok(w.into_bytes())
 }
 
 /// Serializes a snapshot as a **delta** against `base_bytes` (a
@@ -436,6 +402,36 @@ mod tests {
         }
     }
 
+    /// The legacy v1 writer (no `wal_seq`, no delta support), kept to pin
+    /// the v1 reader and the immutable v1 golden fixture. Fails with a
+    /// typed `Invalid` if `snapshot.wal_seq != 0`: v1 has no field for it.
+    fn to_bytes_v1(snapshot: &EngineSnapshot) -> Result<Vec<u8>, SnsError> {
+        if snapshot.wal_seq != 0 {
+            return Err(SnsError::Codec {
+                fault: CodecFault::Invalid,
+                offset: 0,
+                detail: format!(
+                    "wal_seq {} is not representable in schema v1; checkpoint+WAL streams \
+                     must stay on v2",
+                    snapshot.wal_seq
+                ),
+            });
+        }
+        let mut w = Writer::new();
+        w.bytes(&MAGIC);
+        w.u16(1);
+        w.u8(3);
+        put_section(&mut w, SECTION_META, |w| {
+            w.u64(snapshot.stream_id);
+            w.u64(snapshot.seed);
+        });
+        put_section(&mut w, SECTION_SPEC, |w| wire::put_spec(w, &snapshot.spec));
+        put_section(&mut w, SECTION_STATE, |w| wire::put_engine_state(w, &snapshot.state));
+        let checksum = fnv1a(w.as_slice());
+        w.u64(checksum);
+        Ok(w.into_bytes())
+    }
+
     /// Rebuilds `good`'s envelope with every section payload passed
     /// through `edit`, re-framing the sections and re-sealing the
     /// checksum so only the edited bytes can make decoding fail.
@@ -482,6 +478,52 @@ mod tests {
             to_bytes_v1(&snap),
             Err(SnsError::Codec { fault: CodecFault::Invalid, .. })
         ));
+    }
+
+    /// The v1 golden fixture is immutable history: the legacy writer must
+    /// reproduce it byte for byte from its own decoding.
+    #[test]
+    fn legacy_writer_reproduces_the_v1_golden_fixture() {
+        let path =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/golden_snapshot_v1.snsc");
+        let committed = std::fs::read(path).expect("v1 golden fixture is checked in");
+        let thawed = from_bytes(&committed).unwrap();
+        assert_eq!(to_bytes_v1(&thawed).unwrap(), committed);
+    }
+
+    /// Every engine family's STATE decodes the same from a v1 and a v2
+    /// envelope: upgrading is re-encoding.
+    #[test]
+    fn v1_upgrade_equals_direct_v2_encode_for_every_family() {
+        use sns_runtime::{AnomalyConfig, BaselineKind};
+        let config = SnsConfig { rank: 2, theta: 2, seed: 5, ..Default::default() };
+        let sns = EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusRnd, &config);
+        let baseline = |kind| EngineSpec::baseline(&[4, 3], 3, 10, 2, kind);
+        let specs = [
+            sns.clone(),
+            baseline(BaselineKind::AlsPeriodic { sweeps: 1 }),
+            baseline(BaselineKind::OnlineScp),
+            baseline(BaselineKind::CpStream { decay: 0.98, iters: 2 }),
+            baseline(BaselineKind::NeCpd { epochs: 2 }),
+            sns.with_anomaly(AnomalyConfig { threshold: 2.5, max_events: 16 }),
+        ];
+        let tuples: Vec<StreamTuple> = (0..90u64)
+            .map(|t| StreamTuple::new([(t % 4) as u32, (t % 3) as u32], 1.0 + (t % 5) as f64, t))
+            .collect();
+        for spec in specs {
+            let mut engine = spec.build(9);
+            engine.prefill_all(&tuples[..30]).unwrap();
+            engine.ingest_all(&tuples[30..]).unwrap();
+            let snap = EngineSnapshot {
+                stream_id: 3,
+                spec,
+                seed: 9,
+                wal_seq: 0,
+                state: engine.snapshot().unwrap(),
+            };
+            let upgraded = from_bytes(&to_bytes_v1(&snap).unwrap()).unwrap();
+            assert_eq!(to_bytes(&upgraded), to_bytes(&snap), "{}", engine.name());
+        }
     }
 
     #[test]

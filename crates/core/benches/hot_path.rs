@@ -13,7 +13,10 @@
 //! - `pool_round_trip`: the same batch ingest behind a one-shard
 //!   `EnginePool` session (submit → worker ingest → ack), so the
 //!   command pipeline's overhead over the bare `ingest_all` loop is a
-//!   number, not a claim.
+//!   number, not a claim;
+//! - `capture_state`: one full engine state capture (what every pooled
+//!   read, rollback base and checkpoint pays) at NYC-Taxi-like state:
+//!   ≈4k nnz and ≈11k pending boundary events.
 //!
 //! Run with `cargo bench -p sns-core --bench hot_path`.
 
@@ -42,15 +45,21 @@ const PERIOD: u64 = 40;
 
 /// A synthetic chronological stream over `DIMS` with mild hot spots.
 fn stream(n: usize, seed: u64) -> Vec<StreamTuple> {
+    skewed_stream(n, seed, 2)
+}
+
+/// A chronological stream over `DIMS`, ~1 tuple per tick, whose index
+/// draws are raised to `power`: the higher the power, the more mass on
+/// low indices (hot rows) and the fewer distinct cells.
+fn skewed_stream(n: usize, seed: u64, power: i32) -> Vec<StreamTuple> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = 0u64;
     (0..n)
         .map(|_| {
             t += rng.gen_range(0..3);
-            // Square the draw to skew mass toward low indices (hot rows).
             let skew = |rng: &mut StdRng, d: usize| {
                 let x: f64 = rng.gen::<f64>();
-                ((x * x) * d as f64) as u32
+                (x.powi(power) * d as f64) as u32
             };
             StreamTuple::new([skew(&mut rng, DIMS[0]), skew(&mut rng, DIMS[1])], 1.0, t)
         })
@@ -284,12 +293,35 @@ fn bench_pool_round_trip(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_capture_state(c: &mut Criterion) {
+    // Table III taxi geometry (150×150, W=10, R=20): ~1 tuple per tick
+    // over W·T ticks keeps ≈11k tuples active (one pending event each),
+    // and a steep skew folds them into ≈4k nnz, as the taxi stream does.
+    let period = 1_100u64;
+    let tuples = skewed_stream(2 * WINDOW * period as usize, 23, 8);
+    let config = SnsConfig { rank: RANK, theta: 20, eta: 1000.0, ..Default::default() };
+    let mut engine = SnsEngine::new(&DIMS, WINDOW, period, AlgorithmKind::PlusRnd, &config);
+    let cut = tuples.partition_point(|t| t.time <= WINDOW as u64 * period);
+    for tu in &tuples[..cut] {
+        engine.prefill(*tu).unwrap();
+    }
+    engine.ingest_all(&tuples[cut..cut + 200]).unwrap();
+
+    let mut group = c.benchmark_group("capture_state");
+    group.sample_size(10);
+    group.bench_function("taxi_like_plus_rnd", |b| {
+        b.iter(|| std::hint::black_box(engine.capture_state()))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_per_event,
     bench_ingest_batch,
     bench_mttkrp,
     bench_gram_solve,
-    bench_pool_round_trip
+    bench_pool_round_trip,
+    bench_capture_state
 );
 criterion_main!(benches);

@@ -228,6 +228,25 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_event_schedule_is_a_typed_codec_error() {
+        let config = SnsConfig { rank: 2, theta: 2, seed: 5, ..Default::default() };
+        let mut e = SnsEngine::new(&[3, 3], 3, 10, AlgorithmKind::PlusRnd, &config);
+        for t in 0..50u64 {
+            e.ingest(StreamTuple::new([(t % 3) as u32, ((t * 2) % 3) as u32], 1.0, t)).unwrap();
+        }
+        let EngineState::Sns(mut state) = e.capture().unwrap() else {
+            panic!("an SnsEngine captures an Sns state")
+        };
+        state.window.events[0].due += 1;
+        match EngineState::Sns(state).into_engine() {
+            Err(SnsError::Codec { fault: CodecFault::Invalid, detail, .. }) => {
+                assert!(detail.contains("due"), "{detail}")
+            }
+            other => panic!("expected a typed Invalid error, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
     fn debug_stays_compact_for_large_engines() {
         let config = SnsConfig { rank: 20, seed: 5, ..Default::default() };
         let mut e = SnsEngine::new(&[40, 30], 10, 10, AlgorithmKind::PlusVec, &config);

@@ -108,10 +108,13 @@ impl ContinuousWindow {
                 return Err(SnsError::OutOfBounds { mode: m, index: tuple.coords.get(m), len });
             }
         }
-        if let Some(prev) = self.last_arrival {
-            if tuple.time < prev {
-                return Err(SnsError::OutOfOrder { previous: prev, got: tuple.time });
-            }
+        // The clock, not just the last arrival: `advance_to` moves the
+        // clock past arrivals, and a tuple stamped before it would land in
+        // the newest unit without the crossings it has already accrued
+        // (and would break the event queue's append-only order).
+        let floor = self.now.max(self.last_arrival.unwrap_or(0));
+        if tuple.time < floor {
+            return Err(SnsError::OutOfOrder { previous: floor, got: tuple.time });
         }
         tuple.check_finite()
     }
@@ -165,6 +168,12 @@ impl ContinuousWindow {
     /// # Errors
     /// Rejects out-of-order tuples, coordinates that do not fit the
     /// declared shape, and non-finite values — all before any mutation.
+    /// A tuple is out of order ([`SnsError::OutOfOrder`]) when its time
+    /// is before the last arrival **or** before the clock: after
+    /// [`ContinuousWindow::advance_to`]`(t)`, a tuple stamped earlier than
+    /// `t` is late. Accepting it would put it in the newest unit without
+    /// the boundary crossings it has already accrued, possibly although
+    /// Definition 4 has already expired it.
     pub fn ingest(&mut self, tuple: StreamTuple, out: &mut Vec<Delta>) -> Result<()> {
         self.validate(&tuple)?;
         self.advance_to(tuple.time, out);
@@ -241,6 +250,15 @@ impl ContinuousWindow {
             }
             if ev.seq >= next_seq {
                 return Err(format!("event seq {} not below next_seq {next_seq}", ev.seq));
+            }
+            // The window only ever schedules crossing `w` at `time + w·T`.
+            let expected =
+                (ev.w as u64).checked_mul(period).and_then(|d| ev.tuple.time.checked_add(d));
+            if expected != Some(ev.due) {
+                return Err(format!(
+                    "event due {} is not tuple time {} + w={}·T={period}",
+                    ev.due, ev.tuple.time, ev.w
+                ));
             }
             let coords = &ev.tuple.coords;
             if coords.order() != base_order {
@@ -455,6 +473,53 @@ mod tests {
         ));
         // Equal timestamps are fine (chronological, not strictly increasing).
         w.ingest(tup(1, 1, 1.0, 10), &mut out).unwrap();
+    }
+
+    #[test]
+    fn late_arrival_behind_the_clock_is_rejected_like_the_reference_expires_it() {
+        // W=4, T=10: (0,1)@5, clock to 100, then (1,2)@50 arrives late.
+        let (window, period) = (4usize, 10u64);
+        let mut w = ContinuousWindow::new(&[2, 3], window, period);
+        let mut out = Vec::new();
+        let first = tup(0, 1, 1.0, 5);
+        let late = tup(1, 2, 1.0, 50);
+        w.ingest(first, &mut out).unwrap();
+        w.advance_to(100, &mut out);
+        let before = (w.events_processed(), w.active_tuples(), w.now());
+        assert!(matches!(
+            w.ingest(late, &mut out),
+            Err(SnsError::OutOfOrder { previous: 100, got: 50 })
+        ));
+        assert_eq!((w.events_processed(), w.active_tuples(), w.now()), before, "mutated");
+        // By t=100 the late tuple has already left the declarative window.
+        let reference = window_from_log(&[2, 3], window, period, &[first, late], 100);
+        assert_eq!(reference.nnz(), 0);
+        assert_eq!(w.tensor().nnz(), reference.nnz());
+        // A tuple stamped at the clock is on time.
+        w.ingest(tup(1, 2, 1.0, 100), &mut out).unwrap();
+        assert_eq!(w.tensor().nnz(), 1);
+    }
+
+    #[test]
+    fn from_state_rejects_events_off_their_boundary() {
+        let mut w = ContinuousWindow::new(&[2, 2], 3, 10);
+        let mut out = Vec::new();
+        w.ingest(tup(0, 1, 2.0, 4), &mut out).unwrap();
+        w.ingest(tup(1, 0, 1.0, 9), &mut out).unwrap();
+        w.advance_to(15, &mut out);
+        let state = w.capture_state();
+        assert_eq!(state.events.len(), 2);
+        let restored = ContinuousWindow::from_state(state.clone()).unwrap();
+        assert_eq!(restored.capture_state(), state);
+
+        let mut shifted = state.clone();
+        shifted.events[0].due += 1;
+        let err = ContinuousWindow::from_state(shifted).unwrap_err();
+        assert!(err.contains("due"), "{err}");
+
+        let mut overflow = state;
+        overflow.events[1].tuple.time = u64::MAX - 5;
+        assert!(ContinuousWindow::from_state(overflow).is_err());
     }
 
     #[test]
